@@ -30,11 +30,7 @@ class PrelogEstimate:
     flat_measure: float
 
     def __post_init__(self):
-        grid = np.asarray(self.snr_grid, dtype=float)
-        if grid.size == 0 or np.any(np.diff(grid) <= 0):
-            raise ValueError("snr grid must be strictly increasing")
-        if grid[0] <= math.e:
-            raise ValueError("snr grid must stay above e")
+        _validated_grid(self.snr_grid)
         if not np.all(np.isfinite(np.asarray(self.ratios))):
             raise ValueError("ratios must be finite")
         if abs(self.flat_measure - self.partition.mu_s1) > 1e-12:
@@ -101,15 +97,8 @@ def prelog_lower_estimate(model, snr_grid, gamma=None):
         raise ValueError("snr grid needs at least 4 points")
     if gamma is not None and gamma <= 0:
         raise ValueError("gamma must be positive")
-
-    def ratio_at(s):
-        if gamma is None:
-            _, report = bounds.optimize_gamma(model, s)
-        else:
-            report = bounds.capacity_lower_bound(model, s, gamma)
-        return max(report.bound, 0.0) / math.log(s)
-
-    ratios = tuple(parallel_map(ratio_at, grid))
+    ratios = tuple(parallel_map(
+        lambda s: bounds.capacity_lower_bound(model, s, gamma).ratio, grid))
     half = grid.size // 2
     y = np.asarray(ratios[half:])
     if np.all(np.abs(y - y[0]) <= 1e-15):

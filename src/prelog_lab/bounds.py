@@ -56,16 +56,21 @@ class ChannelParams:
 class BoundReport:
     snr: float
     gamma: float
+    tail: float  # P(|H1| >= gamma)
     coherent: float
     penalty_spectral: float
     bound: float
-    penalty_logdet_n: tuple | None = None  # optional (n, value in nats)
 
     def __post_init__(self):
         if abs(self.bound - (self.coherent - self.penalty_spectral)) > 1e-12:
             raise ValueError("bound must equal coherent - penalty_spectral")
         if self.penalty_spectral < 0:
             raise ValueError("penalty must be nonnegative")
+
+    @property
+    def ratio(self):
+        """max(bound, 0) / ln(snr), whose high-snr limit is the pre-log; nan at snr <= 1."""
+        return max(self.bound, 0.0) / math.log(self.snr) if self.snr > 1 else float("nan")
 
 
 def coherent_term(snr, gamma, tail):
@@ -119,14 +124,18 @@ def penalty_logdet(spectrum, snr, n):
     return float(2.0 * np.sum(np.log(np.diag(chol).real)) / n)
 
 
-def capacity_lower_bound(model, snr, gamma):
-    """BoundReport at one (snr, gamma); the raw bound may be negative, and
+def capacity_lower_bound(model, snr, gamma=None):
+    """BoundReport at one snr and threshold gamma; gamma=None takes the
+    threshold from optimize_gamma.  The raw bound may be negative, and
     capacity satisfies C >= max(bound, 0)."""
+    if gamma is None:
+        return optimize_gamma(model, snr)[1]
     tail = fading.marginal_tail(model, gamma)
     coherent = coherent_term(snr, gamma, tail)
     penalty = penalty_spectral(model.spectrum, snr)
-    return BoundReport(snr=float(snr), gamma=float(gamma), coherent=coherent,
-                       penalty_spectral=penalty, bound=coherent - penalty)
+    return BoundReport(snr=float(snr), gamma=float(gamma), tail=tail,
+                       coherent=coherent, penalty_spectral=penalty,
+                       bound=coherent - penalty)
 
 
 _GAMMA_GRID = np.logspace(-6.0, 3.0, 601)

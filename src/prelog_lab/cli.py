@@ -33,19 +33,11 @@ def _require_output(scen, artifact):
 def run_bound(scen):
     """Rows: snr, gamma, tail, coherent, penalty, bound, clamped bound, ratio."""
     _require_output(scen, "bound")
-    model = scen.model
 
     def evaluate(snr):
-        if scen.gamma_mode == "optimized":
-            gamma, report = bounds.optimize_gamma(model, snr)
-        else:
-            gamma = float(scen.gamma_mode)
-            report = bounds.capacity_lower_bound(model, snr, gamma)
-        tail = fading.marginal_tail(model, gamma)
-        clamped = max(report.bound, 0.0)
-        ratio = clamped / math.log(snr) if snr > 1 else float("nan")
-        return [snr, gamma, tail, report.coherent, report.penalty_spectral,
-                report.bound, clamped, ratio]
+        r = bounds.capacity_lower_bound(scen.model, snr, scen.gamma)
+        return [snr, r.gamma, r.tail, r.coherent, r.penalty_spectral, r.bound,
+                max(r.bound, 0.0), r.ratio]
 
     rows = parallel_map(evaluate, scen.snr_grid)
     header = ["snr", "gamma", "tail", "coherent_nats", "penalty_nats",
@@ -58,8 +50,7 @@ def run_prelog(scen):
     _require_output(scen, "prelog")
     if len(scen.snr_grid) < 4:
         raise scenario.ScenarioError("prelog needs an snr grid with at least 4 points")
-    gamma = None if scen.gamma_mode == "optimized" else float(scen.gamma_mode)
-    est = asymptotics.prelog_lower_estimate(scen.model, scen.snr_grid, gamma=gamma)
+    est = asymptotics.prelog_lower_estimate(scen.model, scen.snr_grid, gamma=scen.gamma)
     target = asymptotics.gaussian_prelog(scen.model.spectrum)
     tol = scen.tolerance("fit", 0.05)
     verdict = "PASS" if est.intercept >= target - tol else "FAIL"
@@ -99,13 +90,9 @@ def run_mi(scen):
         params = bounds.ChannelParams.from_snr(snr)
         est = mcsim.estimate_coherent_mi(model, params, scen.mc_samples,
                                          [scen.seed, i])
-        if scen.gamma_mode == "optimized" and snr > 1:
-            _, report = bounds.optimize_gamma(model, snr)
-            analytic = report.coherent
-        else:
-            gamma = 1.0 if scen.gamma_mode == "optimized" else float(scen.gamma_mode)
-            analytic = bounds.coherent_term(snr, gamma,
-                                            fading.marginal_tail(model, gamma))
+        # optimize_gamma needs ln snr > 0; below that Γ = 1, its fallback candidate
+        gamma = 1.0 if scen.gamma is None and snr <= 1 else scen.gamma
+        analytic = bounds.capacity_lower_bound(model, snr, gamma).coherent
         margin = est.value - analytic
         rows.append([snr, est.value, est.standard_error, analytic, margin,
                      margin >= -3.0 * est.standard_error])
@@ -208,3 +195,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

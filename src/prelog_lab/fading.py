@@ -13,6 +13,7 @@ mean d; the centered process always has unit variance.
 from __future__ import annotations
 
 import functools
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,7 @@ _FOUR_POINTS = np.array([1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j])
 
 _EMPIRICAL_N = 10**6
 _EMPIRICAL_SEED = 181_451_339  # fixed: cached marginal CDFs must not depend on callers
+_TABLE_LOCK = threading.Lock()
 _EMBED_CAP = 2**20
 _EMBED_CLIP_TOL = 1e-4  # relative eigenvalue mass clipped to zero in the embedding
 
@@ -212,7 +214,8 @@ def marginal_tail(model, gamma):
             return float(np.mean(atoms >= gamma - 1e-12))
         if model.innovation == UNIT_MODULUS and model.mean == 0:
             return 1.0 if abs(tap) >= gamma - 1e-12 else 0.0
-    samples = _marginal_samples(model)
+    with _TABLE_LOCK:  # concurrent first calls for one model build one table
+        samples = _marginal_samples(model)
     idx = np.searchsorted(samples, gamma, side="left")
     return float(samples.size - idx) / samples.size
 

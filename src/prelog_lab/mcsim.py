@@ -137,12 +137,11 @@ def estimate_coherent_mi(model, params, n_samples, seed):
     base = [int(s) for s in seed] if np.iterable(seed) else [int(seed)]
     per = n_samples // _STRATA
     sigma2 = params.noise_variance
-    peak = params.peak_amplitude
 
     def stratum(m):
         rng = np.random.default_rng(base + [m])
         h = fading.draw_marginal(model, 1, rng)[0]
-        x = peak * np.sqrt(rng.random(per)) * np.exp(2j * np.pi * rng.random(per))
+        x = sample_inputs(per, params.peak_amplitude, rng).values
         z = rng.standard_normal(per) + 1j * rng.standard_normal(per)
         y = h * x + math.sqrt(sigma2 / 2.0) * z
         return _kl_entropy(y, k=4, workers=1)

@@ -50,6 +50,11 @@ class Scenario:
                 return value
         return default
 
+    @property
+    def gamma(self):
+        """The fixed threshold, or None when gamma_mode is "optimized"."""
+        return None if self.gamma_mode == "optimized" else float(self.gamma_mode)
+
     def with_seed(self, seed):
         if seed < 0:
             raise ScenarioError("seed must be nonnegative")
@@ -57,11 +62,16 @@ class Scenario:
 
 
 @functools.lru_cache(maxsize=1)
-def schema():
+def _validator():
+    """Validator for the shipped schema, which is checked against its
+    metaschema here, once, instead of on every load."""
     from importlib import resources
 
     text = (resources.files("prelog_lab") / "schema" / "scenario.schema.json").read_text()
-    return json.loads(text)
+    schema = json.loads(text)
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema, format_checker=jsonschema.FormatChecker())
 
 
 def _complex_from(value):
@@ -152,21 +162,19 @@ def _grid_from(data):
 
 
 def scenario_from_dict(data):
-    try:
-        jsonschema.validate(data, schema(),
-                            format_checker=jsonschema.FormatChecker())
-    except jsonschema.ValidationError as exc:
+    error = jsonschema.exceptions.best_match(_validator().iter_errors(data))
+    if error is not None:
         loc = "$" + "".join(f"[{p!r}]" if isinstance(p, str) else f"[{p}]"
-                            for p in exc.absolute_path)
-        raise ScenarioError(f"{loc}: {exc.message}") from None
+                            for p in error.absolute_path)
+        raise ScenarioError(f"{loc}: {error.message}")
     tolerances = tuple(sorted((k, float(v))
                               for k, v in data.get("tolerances", {}).items()))
+    gamma_mode = data.get("gamma_mode", "optimized")
     return Scenario(
         name=data["name"],
         model=_model_from_dict(data["model"]),
         snr_grid=_grid_from(data["snr_grid"]),
-        gamma_mode=(data.get("gamma_mode", "optimized") if data.get("gamma_mode", "optimized") == "optimized"
-                    else float(data["gamma_mode"])),
+        gamma_mode=gamma_mode if gamma_mode == "optimized" else float(gamma_mode),
         outputs=tuple(data["outputs"]),
         seed=int(data.get("seed", 0)),
         tolerances=tolerances,

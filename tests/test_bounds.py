@@ -169,13 +169,29 @@ class TestCapacityLowerBound:
 
     def test_report_invariant(self):
         with pytest.raises(ValueError):
-            bounds.BoundReport(snr=10.0, gamma=1.0, coherent=1.0,
+            bounds.BoundReport(snr=10.0, gamma=1.0, tail=0.5, coherent=1.0,
                                penalty_spectral=0.5, bound=0.7)
 
     def test_flat_band_ratio_near_high_snr_plateau(self):
         model = fading.gaussian_model(spectra.flat_band(0.25))
         rep = bounds.capacity_lower_bound(model, 1e12, 0.2)
         assert rep.bound / math.log(1e12) == pytest.approx(0.30, abs=0.01)
+
+    def test_report_carries_tail_and_clamped_ratio(self):
+        flat = fading.gaussian_model(spectra.flat_band(0.25))
+        rep = bounds.capacity_lower_bound(flat, 1e12, 0.2)
+        assert rep.bound > 0 and rep.ratio == rep.bound / math.log(1e12)
+        model = fading.gaussian_model(spectra.white())
+        rep = bounds.capacity_lower_bound(model, 10.0, 1.0)
+        assert rep.tail == fading.marginal_tail(model, 1.0)
+        assert rep.bound < 0 and rep.ratio == 0.0
+        assert math.isnan(bounds.capacity_lower_bound(model, 0.5, 1.0).ratio)
+
+    def test_gamma_none_is_the_optimized_report(self):
+        model = fading.fir_model([1.0, 1.0], fading.UNIT_MODULUS)
+        gamma, want = bounds.optimize_gamma(model, 1e4)
+        rep = bounds.capacity_lower_bound(model, 1e4)
+        assert rep == want and rep.gamma == gamma
 
 
 class TestOptimizeGamma:

@@ -2,10 +2,16 @@ import csv
 import io
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
-from prelog_lab import bounds, cli, scenario
+from prelog_lab import bounds, cli, fading, scenario
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def write_scenario(tmp_path, name="t.json", **overrides):
@@ -261,3 +267,29 @@ class TestThreadIndependence:
             _, out, _ = run(capsys, ["bound", "--scenario", path])
             outputs.append(out)
         assert outputs[0] == outputs[1]
+
+    def test_concurrent_first_lookups_build_one_tail_table(self, tmp_path, capsys,
+                                                           monkeypatch):
+        # two worker threads miss the empty tail-table cache together
+        path = write_scenario(
+            tmp_path, snr_grid={"start": 1e4, "stop": 1e16, "points": 7},
+            model={"kind": "fir", "taps": [[1.0, 0.0], [0.5, 0.5]],
+                   "innovation": "four_point_phase"})
+        monkeypatch.setenv("PRELOG_LAB_THREADS", "2")
+        fading._marginal_samples.cache_clear()
+        code, _, err = run(capsys, ["bound", "--scenario", path])
+        assert code == 0, err
+        assert fading._marginal_samples.cache_info().misses == 1
+
+
+class TestModuleEntryPoint:
+    def test_python_m_prints_the_same_csv(self, capsys):
+        scen = str(ROOT / "scenarios" / "white_rayleigh.json")
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "prelog_lab.cli", "bound", "--scenario", scen],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        code, out, _ = run(capsys, ["bound", "--scenario", scen])
+        assert code == 0
+        assert proc.stdout == out

@@ -52,6 +52,7 @@ class TestRoundTrips:
     def test_defaults_are_applied(self):
         scen = scenario.scenario_from_dict(minimal_dict())
         assert scen.gamma_mode == "optimized"
+        assert scen.gamma is None
         assert scen.seed == 0
         assert scen.snr is None
         assert scen.mc_samples is None
@@ -121,6 +122,7 @@ class TestValidationMessages:
     def test_gamma_mode_accepts_number_or_optimized(self):
         scen = scenario.scenario_from_dict(minimal_dict(gamma_mode=0.5))
         assert scen.gamma_mode == 0.5
+        assert scen.gamma == 0.5
         with pytest.raises(ScenarioError):
             scenario.scenario_from_dict(minimal_dict(gamma_mode="best"))
         with pytest.raises(ScenarioError):
