@@ -27,14 +27,11 @@ class PrelogEstimate:
     ratios: tuple
     intercept: float
     partition: spectra.HarmonicPartition
-    flat_measure: float
 
     def __post_init__(self):
         _validated_grid(self.snr_grid)
         if not np.all(np.isfinite(np.asarray(self.ratios))):
             raise ValueError("ratios must be finite")
-        if abs(self.flat_measure - self.partition.mu_s1) > 1e-12:
-            raise ValueError("flat_measure must equal the S1 measure")
 
 
 @dataclass(frozen=True)
@@ -106,7 +103,6 @@ def prelog_lower_estimate(model, snr_grid, gamma=None):
     else:
         x = 1.0 / np.log(grid[half:])
         intercept = float(np.polyfit(x, y, 1)[1])
-    part = spectra.partition_measures(model.spectrum)
     return PrelogEstimate(snr_grid=tuple(float(s) for s in grid), ratios=ratios,
-                          intercept=intercept, partition=part,
-                          flat_measure=part.mu_s1)
+                          intercept=intercept,
+                          partition=spectra.partition_measures(model.spectrum))

@@ -28,28 +28,20 @@ from .errors import NumericalError
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Peak amplitude A, noise variance, and their ratio snr = A^2 / sigma^2."""
+    """snr = A^2 / sigma^2 and the noise variance sigma^2; the peak amplitude A follows."""
 
-    peak_amplitude: float
-    noise_variance: float
     snr: float
+    noise_variance: float = 1.0
 
     def __post_init__(self):
+        if self.snr <= 0:
+            raise ValueError("snr must be positive")
         if self.noise_variance <= 0:
             raise ValueError("noise variance must be positive")
-        if self.peak_amplitude < 0:
-            raise ValueError("peak amplitude must be nonnegative")
-        implied = self.peak_amplitude**2 / self.noise_variance
-        if abs(implied - self.snr) > 1e-12 * max(1.0, abs(self.snr)):
-            raise ValueError("snr must equal peak_amplitude^2 / noise_variance")
 
-    @classmethod
-    def from_snr(cls, snr, noise_variance=1.0):
-        if snr <= 0:
-            raise ValueError("snr must be positive")
-        peak = math.sqrt(snr * noise_variance)
-        return cls(peak_amplitude=peak, noise_variance=float(noise_variance),
-                   snr=float(snr))
+    @property
+    def peak_amplitude(self):
+        return math.sqrt(self.snr * self.noise_variance)
 
 
 @dataclass(frozen=True)
@@ -155,9 +147,9 @@ def optimize_gamma(model, snr):
     lsnr = math.log(snr)
 
     def objective(g):
-        return fading.marginal_tail(model, g) * (lsnr - 1.0 + 2.0 * math.log(g))
+        return fading.marginal_tail(model, g) * (lsnr - 1.0 + 2.0 * np.log(g))
 
-    values = np.array([objective(g) for g in _GAMMA_GRID])
+    values = objective(_GAMMA_GRID)
     i = int(np.argmax(values))  # argmax takes the first = smallest gamma on ties
     a = math.log(_GAMMA_GRID[max(i - 1, 0)])
     b = math.log(_GAMMA_GRID[min(i + 1, len(_GAMMA_GRID) - 1)])

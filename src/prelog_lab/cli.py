@@ -87,7 +87,7 @@ def run_mi(scen):
     model = scen.model
     rows = []
     for i, snr in enumerate(scen.snr_grid):
-        params = bounds.ChannelParams.from_snr(snr)
+        params = bounds.ChannelParams(snr)
         est = mcsim.estimate_coherent_mi(model, params, scen.mc_samples,
                                          [scen.seed, i])
         # optimize_gamma needs ln snr > 0; below that Γ = 1, its fallback candidate

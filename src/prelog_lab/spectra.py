@@ -240,10 +240,8 @@ class CovarianceMatrix:
             raise ValueError("entry matrix shape does not match order")
         if not np.allclose(k, k.conj().T, atol=1e-12):
             raise ValueError("matrix is not Hermitian")
-        first = k[0]
-        for j in range(1, n):
-            if not np.allclose(k[j, j:], first[: n - j], atol=1e-12):
-                raise ValueError("matrix is not Toeplitz")
+        if not np.allclose(k, scipy.linalg.toeplitz(k[:, 0], k[0]), atol=1e-12):
+            raise ValueError("matrix is not Toeplitz")
         if not np.allclose(np.diag(k).real, 1.0, atol=1e-9):
             raise ValueError("diagonal entries differ from unit variance")
         min_eig = float(np.linalg.eigvalsh(k).min())

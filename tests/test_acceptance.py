@@ -90,7 +90,7 @@ def test_05_coherent_inequality():
     violations = 0
     for model in models:
         for snr in (10.0, 100.0, 1000.0):
-            params = bounds.ChannelParams.from_snr(snr)
+            params = bounds.ChannelParams(snr)
             terms = [bounds.coherent_term(snr, g, fading.marginal_tail(model, g))
                      for g in gammas]
             for seed in range(5):

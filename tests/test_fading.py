@@ -189,8 +189,8 @@ class TestMarginalTail:
         ]
         grid = np.linspace(0.0, 3.0, 31)
         for m in models:
-            tails = [fading.marginal_tail(m, g) for g in grid]
-            assert all(b <= a + 1e-15 for a, b in zip(tails, tails[1:]))
+            tails = fading.marginal_tail(m, grid)
+            assert np.all(np.diff(tails) <= 1e-15)
 
     def test_negative_gamma_rejected(self):
         with pytest.raises(ValueError):
@@ -199,6 +199,30 @@ class TestMarginalTail:
     def test_empirical_tail_deterministic(self):
         m = fading.fir_model([0.9, 0.5, 0.1], fading.FOUR_POINT_PHASE)
         assert fading.marginal_tail(m, 0.8) == fading.marginal_tail(m, 0.8)
+
+    def test_array_gamma_matches_scalar_calls(self):
+        models = [
+            fading.gaussian_model(spectra.white()),
+            fading.gaussian_model(spectra.flat_band(0.1), d=0.7),
+            fading.fir_model([1.0], fading.FOUR_POINT_PHASE, d=0.3),
+            fading.fir_model([1.0j], fading.UNIT_MODULUS),
+            fading.fir_model([1.0, 0.5], fading.FOUR_POINT_PHASE),
+            fading.fir_model([1.0, 1.0], fading.UNIT_MODULUS),
+        ]
+        # 0 twice, the single-tap atoms 0.7, 1 and 1.3, and a log-spaced sweep
+        points = [0.0, 0.7, 1.0, 1.3, 0.0] + list(np.logspace(-6.0, 1.0, 44))
+        grid = np.array(points).reshape(7, 7)
+        for m in models:
+            tails = fading.marginal_tail(m, grid)
+            assert isinstance(tails, np.ndarray) and tails.shape == grid.shape
+            assert np.array_equal(tails, [[fading.marginal_tail(m, g) for g in row]
+                                          for row in grid])
+            assert tails[0, 0] == tails[0, 4] == 1.0
+            assert isinstance(fading.marginal_tail(m, 0.5), float)
+            bad = grid.copy()
+            bad[5, 2] = -1e-9
+            with pytest.raises(ValueError):
+                fading.marginal_tail(m, bad)
 
 
 class TestZeroMassCheck:

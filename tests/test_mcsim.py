@@ -163,12 +163,12 @@ class TestEstimateCoherentMi:
     WHITE = fading.gaussian_model(spectra.white())
 
     def test_vanishes_at_low_snr(self):
-        params = bounds.ChannelParams.from_snr(1e-4)
+        params = bounds.ChannelParams(1e-4)
         est = mcsim.estimate_coherent_mi(self.WHITE, params, 64000, 5)
         assert est.value == pytest.approx(0.0, abs=0.05)
 
     def test_dominates_coherent_term_at_snr_100(self):
-        params = bounds.ChannelParams.from_snr(100.0)
+        params = bounds.ChannelParams(100.0)
         est = mcsim.estimate_coherent_mi(self.WHITE, params, 64000, 5)
         _, report = bounds.optimize_gamma(self.WHITE, 100.0)
         assert est.value >= report.coherent - 3 * est.standard_error
@@ -177,7 +177,7 @@ class TestEstimateCoherentMi:
         # |H| = 1 and X circularly symmetric, so HX has the law of X and the
         # conditional MI equals the single unconditional run h(X + Z) - h(Z)
         model = fading.fir_model([1.0], fading.UNIT_MODULUS)
-        params = bounds.ChannelParams.from_snr(100.0)
+        params = bounds.ChannelParams(100.0)
         strat = mcsim.estimate_coherent_mi(model, params, 64000, 5)
         inputs = mcsim.sample_inputs(20000, params.peak_amplitude, 77)
         rng = np.random.default_rng(78)
@@ -189,7 +189,7 @@ class TestEstimateCoherentMi:
         assert abs(strat.value - mi_direct) < 0.04
 
     def test_determinism_and_seed_sensitivity(self):
-        params = bounds.ChannelParams.from_snr(10.0)
+        params = bounds.ChannelParams(10.0)
         a = mcsim.estimate_coherent_mi(self.WHITE, params, 10**4, [7, 3])
         b = mcsim.estimate_coherent_mi(self.WHITE, params, 10**4, [7, 3])
         c = mcsim.estimate_coherent_mi(self.WHITE, params, 10**4, [7, 4])
@@ -197,7 +197,7 @@ class TestEstimateCoherentMi:
         assert a.value != c.value
 
     def test_sample_floor(self):
-        params = bounds.ChannelParams.from_snr(10.0)
+        params = bounds.ChannelParams(10.0)
         with pytest.raises(ValueError):
             mcsim.estimate_coherent_mi(self.WHITE, params, 9999, 0)
 

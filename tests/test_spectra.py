@@ -145,6 +145,14 @@ class TestToeplitzCovariance:
             cov = spectra.toeplitz_covariance(f, 128).validate()
             assert np.linalg.eigvalsh(cov.entries).min() >= -1e-9
 
+    def test_validate_rejects_hermitian_non_toeplitz(self):
+        cov = spectra.toeplitz_covariance(spectra.flat_band(0.25), 16)
+        k = cov.entries.copy()
+        k[3, 5] += 1e-6j
+        k[5, 3] -= 1e-6j
+        with pytest.raises(ValueError, match="Toeplitz"):
+            spectra.CovarianceMatrix(order=16, entries=k).validate()
+
     def test_flat_band_64_psd(self):
         cov = spectra.toeplitz_covariance(spectra.flat_band(0.25), 64)
         assert np.linalg.eigvalsh(cov.entries).min() >= -1e-10
