@@ -10,7 +10,7 @@ information I(X1; Y1 | H1) under the peak-limited input ensemble; the integral
 is the high-n limit of the penalty (1/n) ln det(I + SNR K), the information the
 outputs leak about the fading.  Both penalty forms are provided; the bound uses
 the spectral integral, while the finite-n log-determinant supports convergence
-studies.
+studies: Schur, O(n^2), all orders in one pass (`penalty_logdets`).
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.integrate
-import scipy.linalg
 
 from . import fading, spectra
 from .errors import NumericalError
@@ -99,21 +98,67 @@ def penalty_spectral(spectrum, snr):
     return total
 
 
-def penalty_logdet(spectrum, snr, n):
-    """(1/n) * ln det(I + snr * K) for the order-n Toeplitz covariance K."""
+def penalty_logdets(spectrum, snr, orders):
+    """(1/n) ln det(I + snr K_n) for every order n in `orders`, where K_n is
+    the order-n Toeplitz covariance, from one Schur pass up to max(orders).
+
+    The pass never builds a matrix: it runs on the generators of
+    T = I + snr K, g1 = t / sqrt(t0) and g2 = g1 with g2[0] = 0, where t is
+    the first column of T.  Each step applies one hyperbolic rotation in the
+    mixed form (Bojanczyk, Brent, de Hoog and Sweet 1995), which is as stable
+    as Cholesky.  Its pivots, the squared Cholesky diagonal of T, shrink by
+    the factor (1 - |rho|)(1 + |rho|) at each step, where rho is the step's
+    reflection coefficient, and the sum of their logs gives ln det of every
+    leading block.  O(n^2) time and O(n) memory for n = max(orders).
+
+    Double precision bounds the domain: the small eigenvalues of K_n are
+    lost to rounding once snr * ||K|| nears 1 / eps.  Measured against
+    eigvalsh and 60-digit mpmath references on random piecewise-constant
+    spectra, it works for bands through snr 1e12 at n = 2048 and for spectra
+    with point masses through 1e10; the error is that of the dense Cholesky,
+    up to 1e-2 nats at 1e12, 3e-4 at 1e10 and 5e-9 at 1e6 and below.
+    Point masses at 1e12 and bands at 1e14 and 1e16 fail, as a dense
+    Cholesky of I + snr K does, and the failure raises NumericalError with
+    the order and the snr.
+    """
     if snr <= 0:
         raise ValueError("snr must be positive")
-    if n < 1:
+    orders = [int(n) for n in orders]
+    if not orders or min(orders) < 1:
         raise ValueError("matrix order must be at least 1")
-    cov = spectra.toeplitz_covariance(spectrum, n)
-    m = np.eye(n, dtype=complex) + snr * cov.entries
-    try:
-        chol = scipy.linalg.cholesky(m, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            "Cholesky factorization of I + snr*K failed; covariance invariants "
-            "are violated upstream") from exc
-    return float(2.0 * np.sum(np.log(np.diag(chol).real)) / n)
+    n_max = max(orders)
+    t = snr * spectra.autocovariances(spectrum, np.arange(n_max))
+    t0 = t[0] = 1.0 + t[0].real
+    a = t / math.sqrt(t0)
+    b = a.copy()
+    b[0] = 0.0
+    log_pivots = np.empty(n_max)
+    log_pivots[0] = math.log(t0)
+    # a is kept unshifted: at step k its live part a[:n_max - k] holds rows
+    # k.. of the shifted generator, beside b[k:]
+    for k in range(1, n_max):
+        av, bv = a[:n_max - k], b[k:]
+        a0 = complex(av[0])
+        rho = complex(bv[0]) / a0 if a0 else math.inf  # a zero pivot fails too
+        r = abs(rho)
+        if not r < 1.0:
+            raise NumericalError(
+                f"I + snr*K is not positive definite in double precision at "
+                f"order {k + 1} (snr {snr:g}): rounding of snr*K swamps its "
+                f"smallest eigenvalues; lower the snr or the order")
+        s = math.sqrt((1.0 - r) * (1.0 + r))
+        av -= rho.conjugate() * bv
+        av *= 1.0 / s  # a scalar product is faster than complex division
+        bv *= s
+        bv -= rho * av
+        # pivot_k = pivot_{k-1} (1 - r^2), in logs that stay exact as r -> 0
+        log_pivots[k] = log_pivots[k - 1] + math.log1p(-r) + math.log1p(r)
+    return np.array([np.sum(log_pivots[:n]) / n for n in orders])
+
+
+def penalty_logdet(spectrum, snr, n):
+    """(1/n) ln det(I + snr * K) for the order-n Toeplitz covariance K."""
+    return float(penalty_logdets(spectrum, snr, [n])[0])
 
 
 def capacity_lower_bound(model, snr, gamma=None):

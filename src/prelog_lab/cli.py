@@ -67,11 +67,9 @@ def run_szego(scen):
     integral = bounds.penalty_spectral(spectrum, snr)
     warning = "point-masses-excluded-from-integral" if spectrum.point_masses else ""
 
-    def evaluate(n):
-        logdet = bounds.penalty_logdet(spectrum, snr, n)
-        return [n, logdet, integral, logdet - integral, warning]
-
-    rows = parallel_map(evaluate, scen.n_list)
+    logdets = bounds.penalty_logdets(spectrum, snr, scen.n_list)
+    rows = [[n, logdet, integral, logdet - integral, warning]
+            for n, logdet in zip(scen.n_list, logdets)]
     header = ["n", "penalty_logdet_nats", "penalty_spectral_nats", "gap_nats",
               "warning"]
     return header, rows, None

@@ -150,6 +150,42 @@ class TestPenaltyLogdet:
         with pytest.raises(ValueError):
             bounds.penalty_logdet(spectra.white(), 0.0, 4)
 
+    def test_orders_share_one_pass(self, rng):
+        f = random_pc_spectrum(rng, with_masses=True)
+        orders = [1, 7, 64, 256]
+        got = bounds.penalty_logdets(f, 100.0, orders)
+        assert list(got) == [bounds.penalty_logdet(f, 100.0, n) for n in orders]
+        for n, value in zip(orders, got):
+            assert value == pytest.approx(eig_logdet(f, 100.0, n), abs=1e-9)
+
+    @pytest.mark.parametrize("spectrum, snr", [
+        (spectra.flat_band(0.25), 1e4),
+        (spectra.mixed_spectrum([(-0.5, 0.5, 0.5)], [(0.0, 0.5)]), 1e10),
+        (spectra.flat_band(0.25), 1e12),
+    ], ids=["flat-band-1e4", "point-mass-1e10", "flat-band-1e12"])
+    def test_against_mpmath_determinant(self, spectrum, snr):
+        """60-digit det of I + snr K built from the double autocovariances,
+        to the rounding bound of perfbench/oracles.py."""
+        mpmath = pytest.importorskip("mpmath")
+        n = 64
+        r = spectra.autocovariances(spectrum, np.arange(n))
+        with mpmath.workdps(60):
+            t = [snr * mpmath.mpc(z.real, z.imag) for z in r]
+            m = mpmath.matrix(n, n)
+            for i in range(n):
+                for j in range(n):
+                    m[i, j] = (1 if i == j else 0) + (t[i - j] if i >= j
+                                                      else mpmath.conj(t[j - i]))
+            want = float(mpmath.re(mpmath.log(mpmath.det(m)))) / n
+        norm = np.linalg.eigvalsh(spectra.toeplitz_covariance(spectrum, n).entries)[-1]
+        tol = 1e-10 + 4 * math.sqrt(n) * np.finfo(float).eps * snr * norm
+        assert bounds.penalty_logdet(spectrum, snr, n) == pytest.approx(want, rel=0, abs=tol)
+
+    def test_precision_limit_is_named(self):
+        with pytest.raises(NumericalError,
+                           match=r"double precision at order \d+ \(snr 1e\+16\)"):
+            bounds.penalty_logdet(spectra.flat_band(0.25), 1e16, 64)
+
 
 class TestCapacityLowerBound:
     def test_white_rayleigh_composition(self):

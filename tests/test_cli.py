@@ -177,6 +177,18 @@ class TestSzegoCommand:
         _, rows = parse(out)
         assert all(r[4] == "point-masses-excluded-from-integral" for r in rows)
 
+    def test_precision_limit_exits_one(self, tmp_path, capsys):
+        band = {"kind": "gaussian",
+                "spectrum": {"pieces": [{"lo": -0.25, "hi": 0.25,
+                                         "density": {"kind": "constant",
+                                                     "value": 2.0}}]}}
+        path = write_scenario(tmp_path, model=band, snr=1e16, n_list=[16, 64])
+        code, out, err = run(capsys, ["szego", "--scenario", path])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("numerical error: ")
+        assert "double precision at order" in err and "snr 1e+16" in err
+
 
 class TestMiCommand:
     def test_fixed_gamma_analytic_column(self, tmp_path, capsys):
