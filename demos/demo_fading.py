@@ -19,14 +19,13 @@ print("simulated paths, n = 65536")
 for name, model in (("flat-band Rayleigh", rayleigh),
                     ("two-tap four-point", two_tap),
                     ("white Ricean", ricean)):
-    path = fading.simulate_path(model, 65536, seed=3)
-    h = path.values
+    h = fading.simulate_path(model, 65536, seed=3)
     print(f"  {name:20s} mean={np.mean(h):+.4f}  E|H|^2={np.mean(np.abs(h)**2):.4f}"
           f"  lag-1 corr={np.mean(h[1:] * np.conj(h[:-1])):+.4f}")
 
 # the two-tap four-point model keeps |H| on a discrete set
 path = fading.simulate_path(two_tap, 4096, seed=1)
-seen = sorted({float(v) for v in np.round(np.abs(path.values), 9)})
+seen = sorted({float(v) for v in np.round(np.abs(path), 9)})
 print(f"\ntwo-tap |H| values seen: {seen}")
 
 print("\nmarginal tails P(|H1| >= gamma)")

@@ -28,8 +28,7 @@ print("\ncoherent MI vs analytic term, white Rayleigh fading")
 model = fading.gaussian_model(spectra.white())
 print(f"{'snr':>6s} {'mi_hat':>8s} {'se':>8s} {'coherent*':>10s} {'margin':>8s}")
 for snr in (10.0, 100.0, 1000.0):
-    params = bounds.ChannelParams(snr)
-    mi = mcsim.estimate_coherent_mi(model, params, 10**5, seed=4)
+    mi = mcsim.estimate_coherent_mi(model, snr, 10**5, seed=4)
     _, rep = bounds.optimize_gamma(model, snr)
     print(f"{snr:6.0f} {mi.value:8.4f} {mi.standard_error:8.4f}"
           f" {rep.coherent:10.4f} {mi.value - rep.coherent:8.4f}")

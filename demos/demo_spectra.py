@@ -31,7 +31,7 @@ for m, r in zip(lags, spectra.autocovariances(fb, lags)):
 
 # the order-n Toeplitz matrix is Hermitian PSD with unit diagonal
 cov = spectra.toeplitz_covariance(fb, 6)
-eigs = np.linalg.eigvalsh(cov.entries)
+eigs = np.linalg.eigvalsh(cov)
 print(f"\ntoeplitz_covariance(6): min eig = {eigs.min():.6f},"
       f" max eig = {eigs.max():.6f}")
 

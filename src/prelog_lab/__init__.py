@@ -18,25 +18,23 @@ declarative scenario files.
 from .asymptotics import (LimitRatioReport, PrelogEstimate, gaussian_prelog,
                           limit_ratio_check, penalty_ratio,
                           prelog_lower_estimate)
-from .bounds import (BoundReport, ChannelParams, capacity_lower_bound,
-                     coherent_term, optimize_gamma, penalty_logdet,
-                     penalty_logdets, penalty_spectral)
+from .bounds import (BoundReport, capacity_lower_bound, coherent_term,
+                     optimize_gamma, penalty_logdet, penalty_logdets,
+                     penalty_spectral)
 from .errors import DegenerateSampleError, NumericalError, UnsupportedModelError
-from .fading import (FadingModel, SamplePath, ZeroMassEstimate, draw_marginal,
-                     fir_model, fir_spectrum, gaussian_model, marginal_tail,
-                     simulate_path, zero_mass_check)
-from .mcsim import (EntropyEstimate, InputBatch, empirical_spectrum,
-                    estimate_coherent_mi, estimate_entropy, sample_inputs,
-                    simulate_channel)
+from .fading import (FadingModel, ZeroMassEstimate, draw_marginal, fir_model,
+                     fir_spectrum, gaussian_model, marginal_tail, simulate_path,
+                     zero_mass_check)
+from .mcsim import (EntropyEstimate, empirical_spectrum, estimate_coherent_mi,
+                    estimate_entropy, sample_inputs, simulate_channel)
 from .scenario import (Scenario, ScenarioError, load_scenario, save_scenario,
                        scenario_from_dict, scenario_to_dict)
-from .spectra import (ConstantDensity, CovarianceMatrix, HarmonicPartition,
-                      Piece, PolynomialDensity, SpectralDistribution,
-                      TrigPolyDensity, autocovariance, autocovariances,
-                      auxiliary_spectrum, cumulative, density_at, flat_band,
-                      flat_set_measure, mixed_spectrum, partition_measures,
-                      piecewise_constant, point_mass_spectrum,
-                      toeplitz_covariance, white)
+from .spectra import (ConstantDensity, HarmonicPartition, Piece,
+                      PolynomialDensity, SpectralDistribution, TrigPolyDensity,
+                      autocovariance, autocovariances, auxiliary_spectrum,
+                      cumulative, density_at, flat_band, flat_set_measure,
+                      mixed_spectrum, partition_measures, piecewise_constant,
+                      point_mass_spectrum, toeplitz_covariance, white)
 
 __version__ = "0.1.0"
 
@@ -45,22 +43,22 @@ __all__ = [
     "LimitRatioReport", "PrelogEstimate", "gaussian_prelog", "limit_ratio_check",
     "penalty_ratio", "prelog_lower_estimate",
     # bounds
-    "BoundReport", "ChannelParams", "capacity_lower_bound", "coherent_term",
-    "optimize_gamma", "penalty_logdet", "penalty_logdets", "penalty_spectral",
+    "BoundReport", "capacity_lower_bound", "coherent_term", "optimize_gamma",
+    "penalty_logdet", "penalty_logdets", "penalty_spectral",
     # errors
     "DegenerateSampleError", "NumericalError", "UnsupportedModelError",
     # fading
-    "FadingModel", "SamplePath", "ZeroMassEstimate", "draw_marginal", "fir_model",
+    "FadingModel", "ZeroMassEstimate", "draw_marginal", "fir_model",
     "fir_spectrum", "gaussian_model", "marginal_tail", "simulate_path",
     "zero_mass_check",
     # mcsim
-    "EntropyEstimate", "InputBatch", "empirical_spectrum", "estimate_coherent_mi",
+    "EntropyEstimate", "empirical_spectrum", "estimate_coherent_mi",
     "estimate_entropy", "sample_inputs", "simulate_channel",
     # scenario
     "Scenario", "ScenarioError", "load_scenario", "save_scenario",
     "scenario_from_dict", "scenario_to_dict",
     # spectra
-    "ConstantDensity", "CovarianceMatrix", "HarmonicPartition", "Piece",
+    "ConstantDensity", "HarmonicPartition", "Piece",
     "PolynomialDensity", "SpectralDistribution", "TrigPolyDensity",
     "autocovariance", "autocovariances", "auxiliary_spectrum", "cumulative",
     "density_at", "flat_band", "flat_set_measure", "mixed_spectrum",

@@ -26,24 +26,6 @@ from .errors import NumericalError
 
 
 @dataclass(frozen=True)
-class ChannelParams:
-    """snr = A^2 / sigma^2 and the noise variance sigma^2; the peak amplitude A follows."""
-
-    snr: float
-    noise_variance: float = 1.0
-
-    def __post_init__(self):
-        if self.snr <= 0:
-            raise ValueError("snr must be positive")
-        if self.noise_variance <= 0:
-            raise ValueError("noise variance must be positive")
-
-    @property
-    def peak_amplitude(self):
-        return math.sqrt(self.snr * self.noise_variance)
-
-
-@dataclass(frozen=True)
 class BoundReport:
     snr: float
     gamma: float

@@ -85,8 +85,7 @@ def run_mi(scen):
     model = scen.model
     rows = []
     for i, snr in enumerate(scen.snr_grid):
-        params = bounds.ChannelParams(snr)
-        est = mcsim.estimate_coherent_mi(model, params, scen.mc_samples,
+        est = mcsim.estimate_coherent_mi(model, snr, scen.mc_samples,
                                          [scen.seed, i])
         # optimize_gamma needs ln snr > 0; below that Γ = 1, its fallback candidate
         gamma = 1.0 if scen.gamma is None and snr <= 1 else scen.gamma

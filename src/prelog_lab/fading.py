@@ -51,17 +51,6 @@ class FadingModel:
     innovation: str | None = None
 
 
-@dataclass(frozen=True, eq=False)
-class SamplePath:
-    values: np.ndarray
-    model: FadingModel
-    seed: object
-
-    def __post_init__(self):
-        if len(self.values) < 1:
-            raise ValueError("sample path must contain at least one value")
-
-
 @dataclass(frozen=True)
 class ZeroMassEstimate:
     """Empirical P(|H1| < eps) with its binomial standard error."""
@@ -118,8 +107,7 @@ def _draw_innovations(rng, law, count):
 def draw_marginal(model, count, rng):
     """IID draws from the marginal law of H1 (no path machinery involved)."""
     if model.kind == GAUSSIAN:
-        z = rng.standard_normal(count) + 1j * rng.standard_normal(count)
-        return model.mean + z / np.sqrt(2.0)
+        return model.mean + _draw_innovations(rng, COMPLEX_GAUSSIAN, count)
     taps = np.asarray(model.taps)
     w = _draw_innovations(rng, model.innovation, count * taps.size)
     return model.mean + w.reshape(count, taps.size) @ taps
@@ -172,14 +160,12 @@ def simulate_path(model, n, seed):
     if model.kind == FIR:
         taps = np.asarray(model.taps)
         w = _draw_innovations(rng, model.innovation, n + taps.size - 1)
-        values = model.mean + np.convolve(w, taps, mode="valid")
-    else:
-        if model.spectrum.point_masses:
-            raise UnsupportedModelError(
-                "Gaussian fading with spectral point masses is not ergodic; "
-                "path simulation is not supported for such models")
-        values = model.mean + _gaussian_path(model.spectrum, n, rng)
-    return SamplePath(values=values, model=model, seed=seed)
+        return model.mean + np.convolve(w, taps, mode="valid")
+    if model.spectrum.point_masses:
+        raise UnsupportedModelError(
+            "Gaussian fading with spectral point masses is not ergodic; "
+            "path simulation is not supported for such models")
+    return model.mean + _gaussian_path(model.spectrum, n, rng)
 
 
 @functools.lru_cache(maxsize=8)

@@ -26,16 +26,6 @@ _STRATA = 64
 _FOLDS = 10
 
 
-@dataclass(frozen=True, eq=False)
-class InputBatch:
-    values: np.ndarray
-    peak: float
-
-    def __post_init__(self):
-        if np.any(np.abs(self.values) > self.peak * (1 + 1e-12)):
-            raise ValueError("inputs exceed the peak amplitude")
-
-
 @dataclass(frozen=True)
 class EntropyEstimate:
     value: float
@@ -60,17 +50,14 @@ def sample_inputs(n, peak, seed):
         raise ValueError("peak amplitude must be positive")
     rng = np.random.default_rng(seed)
     radius = peak * np.sqrt(rng.random(n))
-    return InputBatch(values=radius * np.exp(2j * np.pi * rng.random(n)),
-                      peak=float(peak))
+    return radius * np.exp(2j * np.pi * rng.random(n))
 
 
-def simulate_channel(inputs, path, noise_variance, seed):
+def simulate_channel(x, h, noise_variance, seed):
     """Y_k = H_k X_k + Z_k with fresh circularly-symmetric Gaussian noise.
 
     noise_variance = 0 is accepted as a test mode and returns H*X exactly.
     """
-    x = inputs.values
-    h = path.values
     if len(x) != len(h):
         raise ValueError("input and fading sequences must have equal length")
     if noise_variance < 0:
@@ -123,43 +110,47 @@ def estimate_entropy(samples, k=4):
                            sample_count=n, neighbor_order=k)
 
 
-def estimate_coherent_mi(model, params, n_samples, seed):
+def estimate_coherent_mi(model, snr, n_samples, seed):
     """Stratified MC estimate of I(X1; Y1 | H1) under the peak-limited ensemble.
 
-    The conditioning expectation over H is stratified: 64 fading draws, each
+    The MI depends on the channel only through snr = A^2 / sigma^2, so the
+    noise has unit variance and the peak amplitude is A = sqrt(snr).  The
+    conditioning expectation over H is stratified: 64 fading draws, each
     with its own block of channel samples and its own seed stream derived from
     (seed, stratum index), so the result is independent of execution order.
-    The estimate is mean stratum entropy minus ln(pi e sigma^2); its standard
+    The estimate is mean stratum entropy minus ln(pi e); its standard
     error is the stratum spread over sqrt(64).
     """
+    if snr <= 0:
+        raise ValueError("snr must be positive")
     if n_samples < 10**4:
         raise ValueError("need at least 1e4 samples")
     base = [int(s) for s in seed] if np.iterable(seed) else [int(seed)]
     per = n_samples // _STRATA
-    sigma2 = params.noise_variance
+    peak = math.sqrt(snr)
 
     def stratum(m):
         rng = np.random.default_rng(base + [m])
         h = fading.draw_marginal(model, 1, rng)[0]
-        x = sample_inputs(per, params.peak_amplitude, rng).values
+        x = sample_inputs(per, peak, rng)
         z = rng.standard_normal(per) + 1j * rng.standard_normal(per)
-        y = h * x + math.sqrt(sigma2 / 2.0) * z
+        y = h * x + math.sqrt(0.5) * z
         return _kl_entropy(y, k=4, workers=1)
 
     entropies = np.array(parallel_map(stratum, range(_STRATA)))
-    mi = float(entropies.mean() - math.log(math.pi * math.e * sigma2))
+    mi = float(entropies.mean() - math.log(math.pi * math.e))
     se = float(entropies.std(ddof=1) / math.sqrt(_STRATA))
     return EntropyEstimate(value=mi, standard_error=se,
                            sample_count=per * _STRATA, neighbor_order=4)
 
 
-def empirical_spectrum(path, segment_length):
+def empirical_spectrum(values, segment_length):
     """Welch density estimate of a fading path on the shifted frequency grid.
 
     Hann window, 50% overlap, mean removed, renormalized so that the grid sum
     times the bin width reproduces the sample variance.  Returns (grid, density).
     """
-    values = np.asarray(path.values)
+    values = np.asarray(values)
     seg = int(segment_length)
     if seg < 2 or seg & (seg - 1):
         raise ValueError("segment length must be a power of two")

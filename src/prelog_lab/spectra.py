@@ -72,10 +72,10 @@ class ConstantDensity:
     def level_measures(self, lo, hi):
         length = hi - lo
         if self.value == 0.0:
-            return (length, 0.0, 0.0)
+            return (0.0, 0.0)
         if self.value >= 1.0:
-            return (0.0, length, 0.0)
-        return (0.0, 0.0, length)
+            return (length, 0.0)
+        return (0.0, length)
 
 
 @dataclass(frozen=True)
@@ -123,18 +123,17 @@ class PolynomialDensity:
         return float(np.min(self(crit)))
 
     def level_measures(self, lo, hi):
-        length = hi - lo
         if self.is_zero:
-            return (length, 0.0, 0.0)
+            return (0.0, 0.0)
         shifted = np.asarray(self.coeffs, dtype=float).copy()
         shifted[0] -= 1.0
         if not np.any(shifted):
-            return (0.0, length, 0.0)  # density identically 1 -> boundary set
+            return (hi - lo, 0.0)  # density identically 1 -> boundary set
         cuts = np.concatenate([[lo], _real_roots_in(shifted, lo, hi), [hi]])
         mids = 0.5 * (cuts[:-1] + cuts[1:])
         ge1 = self(mids) >= 1.0
         lengths = np.diff(cuts)
-        return (0.0, float(lengths[ge1].sum()), float(lengths[~ge1].sum()))
+        return (float(lengths[ge1].sum()), float(lengths[~ge1].sum()))
 
 
 @dataclass(frozen=True)
@@ -191,17 +190,16 @@ class TrigPolyDensity:
         return np.unique(np.round(inside, 12))
 
     def level_measures(self, lo, hi):
-        length = hi - lo
         if self.is_zero:
-            return (length, 0.0, 0.0)
+            return (0.0, 0.0)
         cuts1 = self._level_cuts(1.0, lo, hi)
         if cuts1 is None:
-            return (0.0, length, 0.0)
+            return (hi - lo, 0.0)
         cuts = np.concatenate([[lo], cuts1, [hi]])
         mids = 0.5 * (cuts[:-1] + cuts[1:])
         ge1 = self(mids) >= 1.0
         lengths = np.diff(cuts)
-        return (0.0, float(lengths[ge1].sum()), float(lengths[~ge1].sum()))
+        return (float(lengths[ge1].sum()), float(lengths[~ge1].sum()))
 
 
 @dataclass(frozen=True)
@@ -223,31 +221,6 @@ class HarmonicPartition:
         total = self.mu_s1 + self.mu_s2 + self.mu_s3
         if abs(total - 1.0) > MASS_TOL:
             raise ValueError(f"partition measures sum to {total!r}, expected 1")
-
-
-@dataclass(frozen=True, eq=False)
-class CovarianceMatrix:
-    """Hermitian Toeplitz covariance matrix of n consecutive fading samples."""
-
-    order: int
-    entries: np.ndarray
-
-    def validate(self):
-        """Check Hermitian/Toeplitz structure, unit diagonal, and PSD up to rounding."""
-        k = self.entries
-        n = self.order
-        if k.shape != (n, n):
-            raise ValueError("entry matrix shape does not match order")
-        if not np.allclose(k, k.conj().T, atol=1e-12):
-            raise ValueError("matrix is not Hermitian")
-        if not np.allclose(k, scipy.linalg.toeplitz(k[:, 0], k[0]), atol=1e-12):
-            raise ValueError("matrix is not Toeplitz")
-        if not np.allclose(np.diag(k).real, 1.0, atol=1e-9):
-            raise ValueError("diagonal entries differ from unit variance")
-        min_eig = float(np.linalg.eigvalsh(k).min())
-        if min_eig < -1e-10 * max(n, 1):
-            raise ValueError(f"matrix is not PSD, min eigenvalue {min_eig}")
-        return self
 
 
 @dataclass(frozen=True)
@@ -343,15 +316,13 @@ def flat_set_measure(spectrum):
 
 def partition_measures(spectrum):
     """Exact measures of the sets {density = 0}, {density >= 1}, {0 < density < 1}."""
-    mu1 = 1.0 - sum(p.hi - p.lo for p in spectrum.pieces)
     mu2 = 0.0
     mu3 = 0.0
     for p in spectrum.pieces:
-        m1, m2, m3 = p.density.level_measures(p.lo, p.hi)
-        mu1 += m1
+        m2, m3 = p.density.level_measures(p.lo, p.hi)
         mu2 += m2
         mu3 += m3
-    return HarmonicPartition(max(0.0, mu1), mu2, mu3)
+    return HarmonicPartition(flat_set_measure(spectrum), mu2, mu3)
 
 
 def autocovariance(spectrum, m):
@@ -375,8 +346,7 @@ def toeplitz_covariance(spectrum, n):
     if n < 1:
         raise ValueError("matrix order must be at least 1")
     r = autocovariances(spectrum, np.arange(n))
-    entries = scipy.linalg.toeplitz(r, np.conj(r))
-    return CovarianceMatrix(order=n, entries=entries)
+    return scipy.linalg.toeplitz(r, np.conj(r))
 
 
 def cumulative(spectrum, lam):

@@ -90,11 +90,10 @@ def test_05_coherent_inequality():
     violations = 0
     for model in models:
         for snr in (10.0, 100.0, 1000.0):
-            params = bounds.ChannelParams(snr)
             terms = [bounds.coherent_term(snr, g, fading.marginal_tail(model, g))
                      for g in gammas]
             for seed in range(5):
-                est = mcsim.estimate_coherent_mi(model, params, 10**6,
+                est = mcsim.estimate_coherent_mi(model, snr, 10**6,
                                                  [seed, 17])
                 floor = est.value + 3.0 * est.standard_error
                 violations += sum(term > floor for term in terms)
@@ -135,8 +134,7 @@ def test_07_simulation_fidelity():
     spectrum = spectra.flat_band(0.25)
     model = fading.gaussian_model(spectrum)
     n = 2**16
-    path = fading.simulate_path(model, n, 29)
-    values = path.values
+    values = fading.simulate_path(model, n, 29)
     tail_lags = np.arange(1, 400)
     tail_r = spectra.autocovariances(spectrum, tail_lags)
     for lag in (0, 1, 2, 4, 8):
@@ -145,15 +143,15 @@ def test_07_simulation_fidelity():
         se = math.sqrt((1.0 + 2.0 * float(np.sum(np.abs(tail_r)**2))) / n)
         assert abs(got - want) <= 5 * se
 
-    freqs, dens = mcsim.empirical_spectrum(path, 256)
+    freqs, dens = mcsim.empirical_spectrum(values, 256)
     outside = np.abs(freqs) > 0.3
     assert dens[outside].sum() / dens.sum() < 0.05
 
     taps = [1 / math.sqrt(2), 1 / math.sqrt(2)]
     four_point = fading.fir_model(taps, fading.FOUR_POINT_PHASE)
     gauss = fading.gaussian_model(fading.fir_spectrum(taps))
-    k_fp = spectra.toeplitz_covariance(four_point.spectrum, 64).entries
-    k_g = spectra.toeplitz_covariance(gauss.spectrum, 64).entries
+    k_fp = spectra.toeplitz_covariance(four_point.spectrum, 64)
+    k_g = spectra.toeplitz_covariance(gauss.spectrum, 64)
     direct = scipy.linalg.toeplitz(np.r_[1.0, 0.5, np.zeros(62)])
     assert np.max(np.abs(k_fp - k_g)) <= 1e-12
     assert np.max(np.abs(k_g - direct)) <= 1e-12

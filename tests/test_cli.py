@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+import prelog_lab
 from prelog_lab import bounds, cli, fading, scenario
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -305,3 +306,12 @@ class TestModuleEntryPoint:
         code, out, _ = run(capsys, ["bound", "--scenario", scen])
         assert code == 0
         assert proc.stdout == out
+
+
+class TestPackageExports:
+    def test_every_exported_name_resolves(self):
+        for name in prelog_lab.__all__:
+            assert getattr(prelog_lab, name) is not None, name
+        for gone in ("ChannelParams", "SamplePath", "InputBatch", "CovarianceMatrix"):
+            assert gone not in prelog_lab.__all__
+            assert not hasattr(prelog_lab, gone)

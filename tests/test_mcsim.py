@@ -11,22 +11,21 @@ LN_PI_E = math.log(math.pi * math.e)
 
 class TestSampleInputs:
     def test_peak_constraint_holds_exactly(self):
-        batch = mcsim.sample_inputs(10**5, 2.5, 3)
-        assert np.all(np.abs(batch.values) <= 2.5)
-        assert batch.peak == 2.5
+        x = mcsim.sample_inputs(10**5, 2.5, 3)
+        assert np.all(np.abs(x) <= 2.5)
 
     def test_second_moment(self):
         # |X|^2 uniform on [0, A^2]: mean A^2/2, sd A^2/sqrt(12)
         n, peak = 10**5, 1.7
         batch = mcsim.sample_inputs(n, peak, 3)
         se = peak**2 / math.sqrt(12 * n)
-        assert np.mean(np.abs(batch.values)**2) == pytest.approx(peak**2 / 2,
+        assert np.mean(np.abs(batch)**2) == pytest.approx(peak**2 / 2,
                                                                  abs=3 * se)
 
     def test_radial_law_kolmogorov_smirnov(self):
         n = 10**5
         batch = mcsim.sample_inputs(n, 1.0, 11)
-        u = np.sort(np.abs(batch.values)**2)
+        u = np.sort(np.abs(batch)**2)
         grid = np.arange(1, n + 1) / n
         d = max(np.max(grid - u), np.max(u - (grid - 1.0 / n)))
         assert d < 1.6276 / math.sqrt(n)  # 99th percentile of the KS statistic
@@ -34,22 +33,20 @@ class TestSampleInputs:
     def test_circular_symmetry(self):
         n = 10**5
         batch = mcsim.sample_inputs(n, 1.0, 7)
-        assert abs(np.mean(batch.values)) < 4 * math.sqrt(0.5 / n)
+        assert abs(np.mean(batch)) < 4 * math.sqrt(0.5 / n)
 
     def test_determinism(self):
         a = mcsim.sample_inputs(512, 1.0, 42)
         b = mcsim.sample_inputs(512, 1.0, 42)
         c = mcsim.sample_inputs(512, 1.0, 43)
-        assert np.array_equal(a.values, b.values)
-        assert not np.array_equal(a.values, c.values)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             mcsim.sample_inputs(0, 1.0, 0)
         with pytest.raises(ValueError):
             mcsim.sample_inputs(8, 0.0, 0)
-        with pytest.raises(ValueError):
-            mcsim.InputBatch(values=np.array([2.0 + 0j]), peak=1.0)
 
 
 class TestSimulateChannel:
@@ -61,12 +58,12 @@ class TestSimulateChannel:
         batch = mcsim.sample_inputs(256, 1.0, 1)
         path = self._path(256)
         y = mcsim.simulate_channel(batch, path, 0.0, 5)
-        assert np.array_equal(y, path.values * batch.values)
+        assert np.array_equal(y, path * batch)
 
     def test_noise_variance_with_silent_input(self):
         n = 10**5
-        batch = mcsim.InputBatch(values=np.zeros(n, dtype=complex), peak=1.0)
-        y = mcsim.simulate_channel(batch, self._path(n), 0.25, 5)
+        y = mcsim.simulate_channel(np.zeros(n, dtype=complex), self._path(n),
+                                   0.25, 5)
         # |Z|^2 is exponential with mean and sd both 0.25
         assert np.mean(np.abs(y)**2) == pytest.approx(0.25,
                                                       abs=4 * 0.25 / math.sqrt(n))
@@ -163,13 +160,11 @@ class TestEstimateCoherentMi:
     WHITE = fading.gaussian_model(spectra.white())
 
     def test_vanishes_at_low_snr(self):
-        params = bounds.ChannelParams(1e-4)
-        est = mcsim.estimate_coherent_mi(self.WHITE, params, 64000, 5)
+        est = mcsim.estimate_coherent_mi(self.WHITE, 1e-4, 64000, 5)
         assert est.value == pytest.approx(0.0, abs=0.05)
 
     def test_dominates_coherent_term_at_snr_100(self):
-        params = bounds.ChannelParams(100.0)
-        est = mcsim.estimate_coherent_mi(self.WHITE, params, 64000, 5)
+        est = mcsim.estimate_coherent_mi(self.WHITE, 100.0, 64000, 5)
         _, report = bounds.optimize_gamma(self.WHITE, 100.0)
         assert est.value >= report.coherent - 3 * est.standard_error
 
@@ -177,29 +172,29 @@ class TestEstimateCoherentMi:
         # |H| = 1 and X circularly symmetric, so HX has the law of X and the
         # conditional MI equals the single unconditional run h(X + Z) - h(Z)
         model = fading.fir_model([1.0], fading.UNIT_MODULUS)
-        params = bounds.ChannelParams(100.0)
-        strat = mcsim.estimate_coherent_mi(model, params, 64000, 5)
-        inputs = mcsim.sample_inputs(20000, params.peak_amplitude, 77)
+        strat = mcsim.estimate_coherent_mi(model, 100.0, 64000, 5)
+        inputs = mcsim.sample_inputs(20000, math.sqrt(100.0), 77)
         rng = np.random.default_rng(78)
-        z = math.sqrt(params.noise_variance / 2) * (
+        z = math.sqrt(0.5) * (
             rng.standard_normal(20000) + 1j * rng.standard_normal(20000))
-        direct = mcsim.estimate_entropy(inputs.values + z)
-        mi_direct = direct.value - math.log(
-            math.pi * math.e * params.noise_variance)
+        direct = mcsim.estimate_entropy(inputs + z)
+        mi_direct = direct.value - LN_PI_E
         assert abs(strat.value - mi_direct) < 0.04
 
     def test_determinism_and_seed_sensitivity(self):
-        params = bounds.ChannelParams(10.0)
-        a = mcsim.estimate_coherent_mi(self.WHITE, params, 10**4, [7, 3])
-        b = mcsim.estimate_coherent_mi(self.WHITE, params, 10**4, [7, 3])
-        c = mcsim.estimate_coherent_mi(self.WHITE, params, 10**4, [7, 4])
+        a = mcsim.estimate_coherent_mi(self.WHITE, 10.0, 10**4, [7, 3])
+        b = mcsim.estimate_coherent_mi(self.WHITE, 10.0, 10**4, [7, 3])
+        c = mcsim.estimate_coherent_mi(self.WHITE, 10.0, 10**4, [7, 4])
         assert a.value == b.value and a.standard_error == b.standard_error
         assert a.value != c.value
 
     def test_sample_floor(self):
-        params = bounds.ChannelParams(10.0)
         with pytest.raises(ValueError):
-            mcsim.estimate_coherent_mi(self.WHITE, params, 9999, 0)
+            mcsim.estimate_coherent_mi(self.WHITE, 10.0, 9999, 0)
+
+    def test_snr_must_be_positive(self):
+        with pytest.raises(ValueError, match="snr"):
+            mcsim.estimate_coherent_mi(self.WHITE, 0.0, 10**4, 0)
 
 
 class TestEmpiricalSpectrum:
@@ -222,14 +217,11 @@ class TestEmpiricalSpectrum:
         model = fading.gaussian_model(spectra.flat_band(0.1))
         path = fading.simulate_path(model, 2**14, 8)
         _, dens = mcsim.empirical_spectrum(path, 128)
-        var = np.mean(np.abs(path.values - path.values.mean())**2)
+        var = np.mean(np.abs(path - path.mean())**2)
         assert dens.sum() / 128 == pytest.approx(var, rel=1e-9)
 
     def test_constant_path_has_zero_spectrum(self):
-        model = fading.gaussian_model(spectra.white())
-        path = fading.SamplePath(values=np.full(4096, 1.0 + 0j),
-                                 model=model, seed=0)
-        _, dens = mcsim.empirical_spectrum(path, 256)
+        _, dens = mcsim.empirical_spectrum(np.full(4096, 1.0 + 0j), 256)
         assert np.all(dens == 0.0)
 
     def test_validation(self):
