@@ -5,9 +5,12 @@ where the spectral density is positive; splitting that set at density 1
 separates the monotone regime (density >= 1, ratio decreasing for SNR >= e)
 from the dominated regime (0 < density < 1, integrand bounded by ln(1 + e)).
 Consequently max(bound, 0)/ln(SNR) tends to the measure of the flat set
-{F' = 0} for fading laws whose |H1| distribution is continuous at zero, and
-the deviation from the limit is O(1/ln SNR), so an affine fit in 1/ln(SNR)
-extrapolates the pre-log from a finite SNR grid without heuristics.
+{F' = 0} for fading laws whose |H1| distribution is continuous at zero.  The
+deviation from that limit is not O(1/ln SNR) in general: for Rayleigh fading
+the optimized threshold term is L - ln L - 2 + o(1) with L = ln SNR, so the
+ratio's deviation has a (ln L)/L part.  The affine fit in 1/ln(SNR) that
+extrapolates the pre-log from a finite SNR grid is therefore a desk-scale
+extrapolation, not an exact rate.
 """
 
 from __future__ import annotations

@@ -2,11 +2,32 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate, special, stats
 
 from prelog_lab import bounds, fading, mcsim, spectra
 from prelog_lab.errors import DegenerateSampleError
 
 LN_PI_E = math.log(math.pi * math.e)
+
+
+def exact_unit_modulus_mi(snr):
+    """I(X; Y | H) for |H| = 1 by radial quadrature of the output density.
+
+    Y is the uniform disk of radius sqrt(snr) plus CN(0, 1), so its density
+    at radius r is P(|Z - y| <= sqrt(snr)) / (pi snr), a noncentral chi-square
+    cdf with 2 degrees of freedom.  The density falls from its plateau to zero
+    within a few units of r = sqrt(snr), so quad is split at sqrt(snr) +- 6.
+    """
+    root = math.sqrt(snr)
+
+    def integrand(r):
+        p = stats.ncx2.cdf(2.0 * snr, 2, 2.0 * r * r) / (math.pi * snr)
+        return -2.0 * math.pi * r * special.xlogy(p, p)
+
+    cuts = [0.0] + [c for c in (root - 6.0, root + 6.0) if c > 0] + [math.inf]
+    h = sum(integrate.quad(integrand, a, b, limit=200)[0]
+            for a, b in zip(cuts, cuts[1:]))
+    return h - LN_PI_E
 
 
 class TestSampleInputs:
@@ -156,6 +177,41 @@ class TestEstimateEntropy:
             mcsim.estimate_entropy(z, k=21)
 
 
+class TestKlEntropy1d:
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_neighbour_distances_match_brute_force(self, k):
+        # every point, the first and last k included, gets its exact k-th
+        # neighbour distance; a wrong one would move the mean log far
+        # beyond 1e-12
+        x = np.sort(np.random.default_rng(200 + k).standard_normal(300))
+        gaps = np.sort(np.abs(x[:, None] - x[None, :]), axis=1)
+        eps = gaps[:, k]  # column 0 is the point itself
+        want = (special.digamma(300) - special.digamma(k) + math.log(2.0)
+                + np.mean(np.log(eps)))
+        assert mcsim._kl_entropy_1d(x[::-1], k) == pytest.approx(
+            want, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_calibration_on_known_laws(self, seed):
+        rng = np.random.default_rng([201, seed])
+        n = 20000
+        assert mcsim._kl_entropy_1d(rng.exponential(size=n), 4) == \
+            pytest.approx(1.0, abs=0.03)
+        assert mcsim._kl_entropy_1d(rng.uniform(0.0, 5.0, n), 4) == \
+            pytest.approx(math.log(5.0), abs=0.03)
+
+    def test_duplicates_beyond_one_percent_are_degenerate(self):
+        x = np.random.default_rng(202).standard_normal(400)
+        x[200:] = x[0]
+        with pytest.raises(DegenerateSampleError):
+            mcsim._kl_entropy_1d(x, 4)
+
+    def test_isolated_duplicates_are_tolerated(self):
+        x = np.random.default_rng(203).standard_normal(1000)
+        x[1] = x[0]  # two zero first-neighbour distances, well under 1%
+        assert math.isfinite(mcsim._kl_entropy_1d(x, 1))
+
+
 class TestEstimateCoherentMi:
     WHITE = fading.gaussian_model(spectra.white())
 
@@ -180,6 +236,20 @@ class TestEstimateCoherentMi:
         direct = mcsim.estimate_entropy(inputs + z)
         mi_direct = direct.value - LN_PI_E
         assert abs(strat.value - mi_direct) < 0.04
+
+    def test_exact_unit_modulus_value(self):
+        # the radial quadrature is the oracle: each estimate lies within 3 SE
+        # of it and the five-seed mean within 1e-3 nats
+        model = fading.fir_model([1.0], fading.UNIT_MODULUS)
+        for snr, exact in ((10.0, 1.731378), (100.0, 3.735722),
+                           (1000.0, 5.948440)):
+            assert exact_unit_modulus_mi(snr) == pytest.approx(exact, abs=1e-6)
+            values = []
+            for seed in range(5):
+                est = mcsim.estimate_coherent_mi(model, snr, 10**6, [seed, 17])
+                assert abs(est.value - exact) <= 3.0 * est.standard_error
+                values.append(est.value)
+            assert abs(np.mean(values) - exact) <= 1e-3
 
     def test_determinism_and_seed_sensitivity(self):
         a = mcsim.estimate_coherent_mi(self.WHITE, 10.0, 10**4, [7, 3])
