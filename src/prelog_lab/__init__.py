@@ -31,9 +31,9 @@ from .scenario import (Scenario, ScenarioError, load_scenario, save_scenario,
                        scenario_from_dict, scenario_to_dict)
 from .spectra import (ConstantDensity, HarmonicPartition, Piece,
                       PolynomialDensity, SpectralDistribution, TrigPolyDensity,
-                      autocovariance, autocovariances, auxiliary_spectrum,
-                      cumulative, density_at, flat_band, flat_set_measure,
-                      mixed_spectrum, partition_measures, piecewise_constant,
+                      autocovariance, autocovariances, cumulative, density_at,
+                      flat_band, flat_set_measure, mixed_spectrum,
+                      partition_measures, piecewise_constant,
                       point_mass_spectrum, toeplitz_covariance, white)
 
 __version__ = "0.1.0"
@@ -60,8 +60,7 @@ __all__ = [
     # spectra
     "ConstantDensity", "HarmonicPartition", "Piece",
     "PolynomialDensity", "SpectralDistribution", "TrigPolyDensity",
-    "autocovariance", "autocovariances", "auxiliary_spectrum", "cumulative",
-    "density_at", "flat_band", "flat_set_measure", "mixed_spectrum",
-    "partition_measures", "piecewise_constant", "point_mass_spectrum",
-    "toeplitz_covariance", "white",
+    "autocovariance", "autocovariances", "cumulative", "density_at",
+    "flat_band", "flat_set_measure", "mixed_spectrum", "partition_measures",
+    "piecewise_constant", "point_mass_spectrum", "toeplitz_covariance", "white",
 ]

@@ -1,34 +1,14 @@
-"""Small deterministic thread-pool helper.
+"""Serial stand-ins kept only because the perfbench harness imports them.
 
-Work items are pure functions of their arguments (seeds included), so results
-never depend on scheduling; parallel_map only changes wall-clock time.  The
-PRELOG_LAB_THREADS environment variable caps the worker count.
+The library runs serially.  perfbench reads thread_count() and traces
+cli.run_bound's one parallel_map call; ROADMAP item 4's benchmark change
+deletes this module.
 """
-
-from __future__ import annotations
-
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 
 def thread_count():
-    env = os.environ.get("PRELOG_LAB_THREADS")
-    if env is not None and env != "":
-        try:
-            n = int(env)
-        except ValueError as exc:
-            raise ValueError("PRELOG_LAB_THREADS must be an integer") from exc
-        if n < 1:
-            raise ValueError("PRELOG_LAB_THREADS must be at least 1")
-        return n
-    return min(8, os.cpu_count() or 1)
+    return 1
 
 
 def parallel_map(fn, items):
-    """Like map(fn, items) but threaded; output order follows input order."""
-    items = list(items)
-    workers = min(thread_count(), max(len(items), 1))
-    if workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    return [fn(item) for item in items]

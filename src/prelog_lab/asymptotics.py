@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds, spectra
-from ._parallel import parallel_map
 
 
 @dataclass(frozen=True)
@@ -73,7 +72,7 @@ def limit_ratio_check(spectrum, snr_grid, tol=0.02):
     nonincreasing over the last three grid points.
     """
     grid = _validated_grid(snr_grid)
-    ratios = tuple(parallel_map(lambda s: penalty_ratio(spectrum, s), grid))
+    ratios = tuple(penalty_ratio(spectrum, s) for s in grid)
     part = spectra.partition_measures(spectrum)
     target = part.mu_s2 + part.mu_s3
     errs = [abs(r - target) for r in ratios[-3:]]
@@ -97,8 +96,7 @@ def prelog_lower_estimate(model, snr_grid, gamma=None):
         raise ValueError("snr grid needs at least 4 points")
     if gamma is not None and gamma <= 0:
         raise ValueError("gamma must be positive")
-    ratios = tuple(parallel_map(
-        lambda s: bounds.capacity_lower_bound(model, s, gamma).ratio, grid))
+    ratios = tuple(bounds.capacity_lower_bound(model, s, gamma).ratio for s in grid)
     half = grid.size // 2
     y = np.asarray(ratios[half:])
     if np.all(np.abs(y - y[0]) <= 1e-15):

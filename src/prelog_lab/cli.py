@@ -2,8 +2,8 @@
 
 Every value is reported with 12 significant digits and natural-log units
 (column suffix `_nats`); `--bits` rescales those columns at presentation.
-Runs are pure functions of (scenario, seed): repeating a run, with any value
-of PRELOG_LAB_THREADS, produces byte-identical CSV.
+Runs are pure functions of (scenario, seed): repeating a run produces
+byte-identical CSV.
 
 Exit codes: 0 success, 1 numerical failure, 2 validation failure.
 """

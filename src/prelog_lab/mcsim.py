@@ -21,7 +21,6 @@ import scipy.spatial
 from scipy.special import digamma
 
 from . import fading
-from ._parallel import parallel_map
 from .errors import DegenerateSampleError
 
 _STRATA = 64
@@ -85,13 +84,13 @@ def _mean_log_distance(eps):
     return np.mean(np.log(eps[positive]))
 
 
-def _kl_entropy(samples, k, workers=-1):
+def _kl_entropy(samples, k):
     """Kozachenko-Leonenko estimate of differential entropy in the plane."""
     samples = np.asarray(samples)
     pts = np.column_stack([samples.real, samples.imag])
     n = len(pts)
     tree = scipy.spatial.cKDTree(pts)
-    dist, _ = tree.query(pts, k=k + 1, workers=workers)
+    dist, _ = tree.query(pts, k=k + 1, workers=-1)
     return float(digamma(n) - digamma(k) + math.log(math.pi)
                  + 2.0 * _mean_log_distance(dist[:, k]))
 
@@ -132,9 +131,7 @@ def estimate_entropy(samples, k=4):
         raise ValueError("neighbor order must lie in 1..20")
     value = _kl_entropy(samples, k)
     folds = np.arange(n) % _FOLDS
-    thetas = np.array(parallel_map(
-        lambda j: _kl_entropy(samples[folds != j], k, workers=1),
-        range(_FOLDS)))
+    thetas = np.array([_kl_entropy(samples[folds != j], k) for j in range(_FOLDS)])
     se = math.sqrt((_FOLDS - 1) / _FOLDS * np.sum((thetas - thetas.mean())**2))
     return EntropyEstimate(value=value, standard_error=se,
                            sample_count=n, neighbor_order=k)
@@ -169,7 +166,7 @@ def estimate_coherent_mi(model, snr, n_samples, seed):
         power = y.real * y.real + y.imag * y.imag
         return _kl_entropy_1d(power, k=4) + math.log(math.pi)
 
-    entropies = np.array(parallel_map(stratum, range(_STRATA)))
+    entropies = np.array([stratum(m) for m in range(_STRATA)])
     mi = float(entropies.mean() - math.log(math.pi * math.e))
     se = float(entropies.std(ddof=1) / math.sqrt(_STRATA))
     return EntropyEstimate(value=mi, standard_error=se,

@@ -359,17 +359,3 @@ def cumulative(spectrum, lam):
             acc += p.density.mass(p.lo, min(lam, p.hi))
     acc += sum(w for loc, w in spectrum.point_masses if loc <= lam)
     return acc
-
-
-def auxiliary_spectrum(spectrum, snr):
-    """Non-normalized spectral distribution lambda + snr * F(lambda) of the
-    Gaussian process whose covariance is I + snr * K."""
-    if snr <= 0:
-        raise ValueError("snr must be positive")
-
-    def fv(lam):
-        lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
-        vals = np.array([l + snr * cumulative(spectrum, l) for l in lam_arr])
-        return vals if np.asarray(lam).ndim else float(vals[0])
-
-    return fv

@@ -6,11 +6,12 @@ import os
 import pathlib
 import subprocess
 import sys
+import threading
 
 import pytest
 
 import prelog_lab
-from prelog_lab import bounds, cli, fading, scenario
+from prelog_lab import bounds, cli, scenario
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -270,29 +271,17 @@ class TestErrorPaths:
         assert "$['outputs']" in err
 
 
-class TestThreadIndependence:
-    def test_bound_output_independent_of_thread_count(self, tmp_path, capsys,
-                                                      monkeypatch):
-        path = write_scenario(tmp_path, snr_grid=[10.0, 100.0, 1000.0, 1e4])
-        outputs = []
-        for threads in ("1", "3"):
-            monkeypatch.setenv("PRELOG_LAB_THREADS", threads)
-            _, out, _ = run(capsys, ["bound", "--scenario", path])
-            outputs.append(out)
-        assert outputs[0] == outputs[1]
+class TestSerial:
+    @pytest.mark.parametrize("command", ["bound", "prelog", "mi"])
+    def test_starts_no_python_thread(self, tmp_path, capsys, monkeypatch, command):
+        def refuse(thread):
+            raise AssertionError(f"{command} started thread {thread.name}")
 
-    def test_concurrent_first_lookups_build_one_tail_table(self, tmp_path, capsys,
-                                                           monkeypatch):
-        # two worker threads miss the empty tail-table cache together
-        path = write_scenario(
-            tmp_path, snr_grid={"start": 1e4, "stop": 1e16, "points": 7},
-            model={"kind": "fir", "taps": [[1.0, 0.0], [0.5, 0.5]],
-                   "innovation": "four_point_phase"})
-        monkeypatch.setenv("PRELOG_LAB_THREADS", "2")
-        fading._marginal_samples.cache_clear()
-        code, _, err = run(capsys, ["bound", "--scenario", path])
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        path = write_scenario(tmp_path, snr_grid=[1e2, 1e3, 1e4, 1e5],
+                              mc_samples=10000)
+        code, _, err = run(capsys, [command, "--scenario", path])
         assert code == 0, err
-        assert fading._marginal_samples.cache_info().misses == 1
 
 
 class TestModuleEntryPoint:

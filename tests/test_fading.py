@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -223,6 +224,26 @@ class TestMarginalTail:
             bad[5, 2] = -1e-9
             with pytest.raises(ValueError):
                 fading.marginal_tail(m, bad)
+
+    def test_concurrent_first_lookups_build_one_tail_table(self):
+        # two threads miss the empty tail-table cache together
+        m = fading.fir_model([1.0, 0.5 + 0.5j], fading.FOUR_POINT_PHASE)
+        fading._marginal_samples.cache_clear()
+        barrier = threading.Barrier(2, timeout=60)
+        tails = []
+
+        def lookup():
+            barrier.wait()
+            tails.append(fading.marginal_tail(m, 1.0))
+
+        threads = [threading.Thread(target=lookup) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert len(tails) == 2 and tails[0] == tails[1]
+        assert fading._marginal_samples.cache_info().misses == 1
 
 
 class TestZeroMassCheck:

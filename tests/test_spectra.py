@@ -211,22 +211,6 @@ class TestCumulativeAndAuxiliary:
         vals = [spectra.cumulative(f, x) for x in grid]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
-    def test_auxiliary_left_endpoint(self):
-        fv = spectra.auxiliary_spectrum(spectra.flat_band(0.25), 10.0)
-        assert fv(-0.5) == pytest.approx(-0.5, abs=1e-12)
-
-    def test_auxiliary_right_endpoint(self):
-        fv = spectra.auxiliary_spectrum(spectra.white(), 10.0)
-        assert fv(0.5) == pytest.approx(10.5, abs=1e-12)
-
-    def test_auxiliary_flat_band_midpoint(self):
-        fv = spectra.auxiliary_spectrum(spectra.flat_band(0.25), 4.0)
-        assert fv(0.0) == pytest.approx(2.0, abs=1e-12)
-
-    def test_auxiliary_rejects_nonpositive_snr(self):
-        with pytest.raises(ValueError):
-            spectra.auxiliary_spectrum(spectra.white(), 0.0)
-
 
 class TestValidation:
     def test_total_mass_enforced(self):
