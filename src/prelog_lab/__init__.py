@@ -29,8 +29,8 @@ from .mcsim import (EntropyEstimate, empirical_spectrum, estimate_coherent_mi,
                     estimate_entropy, sample_inputs, simulate_channel)
 from .scenario import (Scenario, ScenarioError, load_scenario, save_scenario,
                        scenario_from_dict, scenario_to_dict)
-from .spectra import (ConstantDensity, HarmonicPartition, Piece,
-                      PolynomialDensity, SpectralDistribution, TrigPolyDensity,
+from .spectra import (HarmonicPartition, Piece, SpectralDistribution,
+                      TrigPolyDensity,
                       autocovariance, autocovariances, cumulative, density_at,
                       flat_band, flat_set_measure, mixed_spectrum,
                       partition_measures, piecewise_constant,
@@ -58,8 +58,7 @@ __all__ = [
     "Scenario", "ScenarioError", "load_scenario", "save_scenario",
     "scenario_from_dict", "scenario_to_dict",
     # spectra
-    "ConstantDensity", "HarmonicPartition", "Piece",
-    "PolynomialDensity", "SpectralDistribution", "TrigPolyDensity",
+    "HarmonicPartition", "Piece", "SpectralDistribution", "TrigPolyDensity",
     "autocovariance", "autocovariances", "cumulative", "density_at",
     "flat_band", "flat_set_measure", "mixed_spectrum", "partition_measures",
     "piecewise_constant", "point_mass_spectrum", "toeplitz_covariance", "white",

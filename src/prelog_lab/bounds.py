@@ -60,7 +60,7 @@ def coherent_term(snr, gamma, tail):
 def penalty_spectral(spectrum, snr):
     """integral over [-1/2, 1/2] of ln(1 + snr * F'(lam)).
 
-    Constant-density pieces integrate in closed form; polynomial and
+    Constant (order-0) pieces integrate in closed form; higher-order
     trigonometric pieces use adaptive quadrature with absolute tolerance 1e-9.
     Point masses have no density and contribute nothing.
     """
@@ -69,8 +69,8 @@ def penalty_spectral(spectrum, snr):
     total = 0.0
     for p in spectrum.pieces:
         dens = p.density
-        if isinstance(dens, spectra.ConstantDensity):
-            total += (p.hi - p.lo) * math.log1p(snr * dens.value)
+        if dens.order == 0:
+            total += (p.hi - p.lo) * math.log1p(snr * dens.coeffs[0].real)
         else:
             # clamp rounding noise at density zeros: snr * (-1e-17) matters at 1e16
             val, _ = scipy.integrate.quad(

@@ -161,8 +161,7 @@ def estimate_coherent_mi(model, snr, n_samples, seed):
         rng = np.random.default_rng(base + [m])
         h = fading.draw_marginal(model, 1, rng)[0]
         x = sample_inputs(per, peak, rng)
-        z = rng.standard_normal(per) + 1j * rng.standard_normal(per)
-        y = h * x + math.sqrt(0.5) * z
+        y = simulate_channel(x, np.full(per, h), 1.0, rng)
         power = y.real * y.real + y.imag * y.imag
         return _kl_entropy_1d(power, k=4) + math.log(math.pi)
 

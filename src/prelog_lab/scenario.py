@@ -83,14 +83,10 @@ def _density_from_dict(data, where):
     if kind == "constant":
         if "value" not in data:
             raise ScenarioError(f"{where}: constant density needs 'value'")
-        return spectra.ConstantDensity(float(data["value"]))
+        return spectra.TrigPolyDensity((float(data["value"]),))
     if "coeffs" not in data:
-        raise ScenarioError(f"{where}: {kind} density needs 'coeffs'")
+        raise ScenarioError(f"{where}: trig density needs 'coeffs'")
     coeffs = data["coeffs"]
-    if kind == "polynomial":
-        if any(isinstance(c, list) for c in coeffs):
-            raise ScenarioError(f"{where}: polynomial coefficients must be real")
-        return spectra.PolynomialDensity(tuple(float(c) for c in coeffs))
     if len(coeffs) % 2 == 0:
         raise ScenarioError(f"{where}: trig coefficients must have odd length (m = -K..K)")
     parsed = tuple(_complex_from(c) if isinstance(c, list) else complex(float(c))
@@ -108,10 +104,8 @@ def _spectrum_from_dict(data):
 
 
 def _density_to_dict(dens):
-    if isinstance(dens, spectra.ConstantDensity):
-        return {"kind": "constant", "value": dens.value}
-    if isinstance(dens, spectra.PolynomialDensity):
-        return {"kind": "polynomial", "coeffs": list(dens.coeffs)}
+    if dens.order == 0 and dens.coeffs[0].imag == 0:
+        return {"kind": "constant", "value": dens.coeffs[0].real}
     return {"kind": "trig", "coeffs": [[c.real, c.imag] for c in dens.coeffs]}
 
 

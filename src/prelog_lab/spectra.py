@@ -1,11 +1,11 @@
 """Spectral distribution functions on the frequency interval [-1/2, 1/2].
 
 A spectral distribution is represented exactly as a collection of absolutely
-continuous pieces (constant, polynomial, or trigonometric-polynomial densities
-on disjoint sub-intervals) plus a finite set of point masses.  Every quantity
-derived here -- masses, autocovariances, level-set measures -- is computed in
-closed form from that representation, so flat-set measures and the harmonic
-partition carry no quadrature error.
+continuous pieces (trigonometric-polynomial densities on disjoint
+sub-intervals, a constant being the order-0 case) plus a finite set of point
+masses.  Every quantity derived here -- masses, autocovariances, level-set
+measures -- is computed in closed form from that representation, so flat-set
+measures and the harmonic partition carry no quadrature error.
 
 Conventions: unit total mass (unit-variance fading), natural logarithms, and
 autocovariance(m) = integral of exp(i 2 pi m lambda) against the distribution.
@@ -13,7 +13,6 @@ autocovariance(m) = integral of exp(i 2 pi m lambda) against the distribution.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,123 +23,25 @@ _DENSITY_FLOOR = -1e-9  # tolerance for tiny negative rounding in derived densit
 
 
 def _fourier_kernel(m, lo, hi):
-    """Integral of exp(i 2 pi m lambda) over [lo, hi], vectorized over m."""
-    m = np.asarray(m)
+    """Integral of exp(i 2 pi m lambda) over [lo, hi], for an integer array m."""
     w = 2j * np.pi * m
     safe = np.where(m == 0, 1.0, w)
-    out = np.where(m == 0, complex(hi - lo), (np.exp(w * hi) - np.exp(w * lo)) / safe)
-    if out.ndim == 0:
-        return complex(out)
-    return out
-
-
-def _real_roots_in(coeffs, lo, hi):
-    """Real roots of a polynomial (low-order-first coeffs) strictly inside (lo, hi)."""
-    coeffs = np.trim_zeros(np.asarray(coeffs, dtype=complex), "b")
-    if coeffs.size <= 1:
-        return np.empty(0)
-    roots = np.polynomial.polynomial.polyroots(coeffs)
-    real = roots[np.abs(roots.imag) < 1e-9].real
-    inside = real[(real > lo + 1e-13) & (real < hi - 1e-13)]
-    return np.unique(np.round(inside, 12))
-
-
-@dataclass(frozen=True)
-class ConstantDensity:
-    """Density that is constant on its piece."""
-
-    value: float
-
-    def __call__(self, lam):
-        lam = np.asarray(lam, dtype=float)
-        out = np.full(lam.shape, float(self.value))
-        return out if out.ndim else float(out)
-
-    @property
-    def is_zero(self):
-        return self.value == 0.0
-
-    def mass(self, lo, hi):
-        return self.value * (hi - lo)
-
-    def fourier(self, m, lo, hi):
-        return self.value * _fourier_kernel(m, lo, hi)
-
-    def min_value(self, lo, hi):
-        return self.value
-
-    def level_measures(self, lo, hi):
-        length = hi - lo
-        if self.value == 0.0:
-            return (0.0, 0.0)
-        if self.value >= 1.0:
-            return (length, 0.0)
-        return (0.0, length)
-
-
-@dataclass(frozen=True)
-class PolynomialDensity:
-    """Density given by a polynomial in lambda, coefficients low order first."""
-
-    coeffs: tuple
-
-    def __call__(self, lam):
-        return np.polynomial.polynomial.polyval(lam, np.asarray(self.coeffs, dtype=float))
-
-    @property
-    def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
-
-    def mass(self, lo, hi):
-        anti = np.polynomial.polynomial.polyint(np.asarray(self.coeffs, dtype=float))
-        val = np.polynomial.polynomial.polyval
-        return float(val(hi, anti) - val(lo, anti))
-
-    def fourier(self, m, lo, hi):
-        # integral of lambda^k exp(i w lambda) by downward integration by parts
-        m_arr = np.atleast_1d(np.asarray(m))
-        out = np.zeros(m_arr.shape, dtype=complex)
-        nz = m_arr != 0
-        if np.any(~nz):
-            out[~nz] = self.mass(lo, hi)
-        if np.any(nz):
-            w = 2j * np.pi * m_arr[nz]
-            e_hi, e_lo = np.exp(w * hi), np.exp(w * lo)
-            powers_hi = hi ** np.arange(len(self.coeffs))
-            powers_lo = lo ** np.arange(len(self.coeffs))
-            ik = np.zeros_like(w)  # I_k for current k
-            acc = np.zeros_like(w)
-            for k in range(len(self.coeffs)):
-                boundary = (powers_hi[k] * e_hi - powers_lo[k] * e_lo) / w
-                ik = boundary - (k / w) * ik if k else boundary
-                acc += self.coeffs[k] * ik
-            out[nz] = acc
-        return out if np.asarray(m).ndim else complex(out[0])
-
-    def min_value(self, lo, hi):
-        deriv = np.polynomial.polynomial.polyder(np.asarray(self.coeffs, dtype=float))
-        crit = np.concatenate([[lo, hi], _real_roots_in(deriv, lo, hi)])
-        return float(np.min(self(crit)))
-
-    def level_measures(self, lo, hi):
-        if self.is_zero:
-            return (0.0, 0.0)
-        shifted = np.asarray(self.coeffs, dtype=float).copy()
-        shifted[0] -= 1.0
-        if not np.any(shifted):
-            return (hi - lo, 0.0)  # density identically 1 -> boundary set
-        cuts = np.concatenate([[lo], _real_roots_in(shifted, lo, hi), [hi]])
-        mids = 0.5 * (cuts[:-1] + cuts[1:])
-        ge1 = self(mids) >= 1.0
-        lengths = np.diff(cuts)
-        return (float(lengths[ge1].sum()), float(lengths[~ge1].sum()))
+    return np.where(m == 0, complex(hi - lo), (np.exp(w * hi) - np.exp(w * lo)) / safe)
 
 
 @dataclass(frozen=True)
 class TrigPolyDensity:
-    """Density sum_m g_m exp(i 2 pi m lambda), m = -K..K, with Hermitian g."""
+    """Density sum_m g_m exp(i 2 pi m lambda), m = -K..K, with Hermitian g.
 
-    coeffs: tuple  # complex, ordered m = -K .. K
+    A constant density c is the order-0 polynomial TrigPolyDensity((c,)).
+    """
+
+    coeffs: tuple  # ordered m = -K .. K
+
+    def __post_init__(self):
+        g = np.asarray(self.coeffs, dtype=complex)
+        if np.any(np.abs(g - np.conj(g[::-1])) > 1e-12):
+            raise ValueError("trig coefficients must be Hermitian: g[-m] = conj(g[m])")
 
     @property
     def order(self):
@@ -166,36 +67,33 @@ class TrigPolyDensity:
         return float(np.real(np.sum(g * _fourier_kernel(self._harmonics(), lo, hi))))
 
     def fourier(self, m, lo, hi):
-        m_arr = np.atleast_1d(np.asarray(m))
-        acc = np.zeros(m_arr.shape, dtype=complex)
+        """Integral of exp(i 2 pi m lambda) against the density over [lo, hi],
+        for an integer array m."""
+        acc = np.zeros(np.shape(m), dtype=complex)
         for k, g in zip(self._harmonics(), self.coeffs):
-            acc += g * _fourier_kernel(k + m_arr, lo, hi)
-        return acc if np.asarray(m).ndim else complex(acc[0])
+            acc += g * _fourier_kernel(k + m, lo, hi)
+        return acc
 
     def min_value(self, lo, hi):
         grid = np.linspace(lo, hi, 4097)
         return float(np.min(self(grid)))
 
-    def _level_cuts(self, c, lo, hi):
-        """Solutions of density(lambda) = c in (lo, hi), via roots on the unit circle."""
-        k = self.order
-        g = np.asarray(self.coeffs, dtype=complex).copy()
-        g[k] -= c  # subtract c from the m=0 coefficient
-        if not np.any(g):
-            return None  # density identically c
-        roots = np.polynomial.polynomial.polyroots(g)
-        on_circle = roots[np.abs(np.abs(roots) - 1.0) < 1e-7]
-        lams = np.angle(on_circle) / (2 * np.pi)
-        inside = lams[(lams > lo + 1e-13) & (lams < hi - 1e-13)]
-        return np.unique(np.round(inside, 12))
-
     def level_measures(self, lo, hi):
+        """Measures of {density >= 1} and {0 < density < 1} on [lo, hi].
+
+        The density crosses 1 where the polynomial with the m = 0 coefficient
+        lowered by 1 has a root on the unit circle.
+        """
         if self.is_zero:
             return (0.0, 0.0)
-        cuts1 = self._level_cuts(1.0, lo, hi)
-        if cuts1 is None:
-            return (hi - lo, 0.0)
-        cuts = np.concatenate([[lo], cuts1, [hi]])
+        g = np.array(self.coeffs, dtype=complex)
+        g[self.order] -= 1.0
+        if not np.any(g):
+            return (hi - lo, 0.0)  # density identically 1 -> boundary set
+        roots = np.polynomial.polynomial.polyroots(g)
+        lams = np.angle(roots[np.abs(np.abs(roots) - 1.0) < 1e-7]) / (2 * np.pi)
+        inside = np.unique(np.round(lams[(lams > lo + 1e-13) & (lams < hi - 1e-13)], 12))
+        cuts = np.concatenate([[lo], inside, [hi]])
         mids = 0.5 * (cuts[:-1] + cuts[1:])
         ge1 = self(mids) >= 1.0
         lengths = np.diff(cuts)
@@ -206,7 +104,7 @@ class TrigPolyDensity:
 class Piece:
     lo: float
     hi: float
-    density: ConstantDensity | PolynomialDensity | TrigPolyDensity
+    density: TrigPolyDensity
 
 
 @dataclass(frozen=True)
@@ -267,8 +165,7 @@ def flat_band(half_width):
     """Uniform density 1/(2*half_width) on [-half_width, half_width]."""
     if not 0 < half_width <= 0.5:
         raise ValueError("half_width must lie in (0, 1/2]")
-    dens = ConstantDensity(1.0 / (2.0 * half_width))
-    return SpectralDistribution(pieces=(Piece(-half_width, half_width, dens),))
+    return mixed_spectrum([(-half_width, half_width, 1.0 / (2.0 * half_width))], ())
 
 
 def white():
@@ -278,18 +175,18 @@ def white():
 
 def piecewise_constant(bands):
     """Spectrum from (lo, hi, density) triples; densities must integrate to 1."""
-    pieces = tuple(Piece(lo, hi, ConstantDensity(float(c))) for lo, hi, c in bands)
-    return SpectralDistribution(pieces=pieces)
+    return mixed_spectrum(bands, ())
 
 
 def point_mass_spectrum(masses):
     """Purely discrete spectrum from (location, weight) pairs."""
-    return SpectralDistribution(point_masses=tuple((float(l), float(w)) for l, w in masses))
+    return mixed_spectrum((), masses)
 
 
 def mixed_spectrum(bands, masses):
-    """Absolutely continuous bands plus point masses, total mass 1."""
-    pieces = tuple(Piece(lo, hi, ConstantDensity(float(c))) for lo, hi, c in bands)
+    """Constant-density (lo, hi, density) bands plus (location, weight) point
+    masses, total mass 1."""
+    pieces = tuple(Piece(lo, hi, TrigPolyDensity((float(c),))) for lo, hi, c in bands)
     return SpectralDistribution(pieces=pieces,
                                 point_masses=tuple((float(l), float(w)) for l, w in masses))
 

@@ -27,10 +27,8 @@ def random_pc_spectrum(rng, with_masses=False):
         masses = ((float(locs[0]), pm / 2), (float(locs[1]), pm / 2))
         mass -= pm
     weights = weights / weights.sum() * mass
-    pieces = tuple(
-        spectra.Piece(lo, hi, spectra.ConstantDensity(float(w / (hi - lo))))
-        for (lo, hi), w in zip(bands, weights))
-    return spectra.SpectralDistribution(pieces=pieces, point_masses=masses)
+    return spectra.mixed_spectrum(
+        [(lo, hi, w / (hi - lo)) for (lo, hi), w in zip(bands, weights)], masses)
 
 
 @pytest.fixture

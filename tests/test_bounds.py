@@ -81,9 +81,7 @@ class TestPenaltySpectral:
 
     def test_point_masses_contribute_nothing(self):
         f1 = spectra.mixed_spectrum([(-0.25, 0.25, 1.0)], [(0.4, 0.5)])
-        f2 = spectra.SpectralDistribution(pieces=(
-            spectra.Piece(-0.25, 0.25, spectra.ConstantDensity(1.0)),
-            spectra.Piece(0.3, 0.4, spectra.ConstantDensity(5.0)),))
+        f2 = spectra.piecewise_constant([(-0.25, 0.25, 1.0), (0.3, 0.4, 5.0)])
         got1 = bounds.penalty_spectral(f1, 10.0)
         assert got1 == pytest.approx(0.5 * math.log(11), abs=1e-12)
         assert bounds.penalty_spectral(f2, 10.0) > got1

@@ -119,6 +119,26 @@ class TestValidationMessages:
         with pytest.raises(ScenarioError, match="odd length"):
             scenario.scenario_from_dict(data)
 
+    def test_non_hermitian_trig_coefficients_rejected(self):
+        data = minimal_dict()
+        data["model"]["spectrum"]["pieces"][0]["density"] = {
+            "kind": "trig", "coeffs": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]}
+        with pytest.raises(ScenarioError, match=r"\$\.model: .*Hermitian"):
+            scenario.scenario_from_dict(data)
+
+    def test_polynomial_density_rejected(self):
+        data = minimal_dict()
+        data["model"]["spectrum"]["pieces"][0]["density"] = {
+            "kind": "polynomial", "coeffs": [1.0]}
+        with pytest.raises(ScenarioError,
+                           match=r"\$\['model'\]\['spectrum'\]\['pieces'\]\[0\]"
+                                 r"\['density'\]\['kind'\]"):
+            scenario.scenario_from_dict(data)
+
+    def test_misspelt_tolerance_rejected(self):
+        with pytest.raises(ScenarioError, match=r"\$\['tolerances'\]: .*'fitt'"):
+            scenario.scenario_from_dict(minimal_dict(tolerances={"fitt": 0.5}))
+
     def test_gamma_mode_accepts_number_or_optimized(self):
         scen = scenario.scenario_from_dict(minimal_dict(gamma_mode=0.5))
         assert scen.gamma_mode == 0.5
@@ -139,10 +159,10 @@ class TestScenarioObject:
             scen.with_seed(-1)
 
     def test_tolerance_accessor(self):
-        scen = scenario.scenario_from_dict(
-            minimal_dict(tolerances={"fit": 0.1, "gap": 0.2}))
+        scen = scenario.scenario_from_dict(minimal_dict(tolerances={"fit": 0.1}))
         assert scen.tolerance("fit", 0.05) == 0.1
-        assert scen.tolerance("absent", 0.05) == 0.05
+        default = scenario.scenario_from_dict(minimal_dict())
+        assert default.tolerance("fit", 0.05) == 0.05
 
     def test_trig_spectrum_parses_to_model(self):
         data = minimal_dict()

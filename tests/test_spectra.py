@@ -53,10 +53,7 @@ class TestFlatSetMeasure:
         assert spectra.flat_set_measure(f) == 1.0
 
     def test_zero_density_piece_counts_as_flat(self):
-        f = spectra.SpectralDistribution(pieces=(
-            spectra.Piece(-0.5, 0.0, spectra.ConstantDensity(2.0)),
-            spectra.Piece(0.0, 0.5, spectra.ConstantDensity(0.0)),
-        ))
+        f = spectra.piecewise_constant([(-0.5, 0.0, 2.0), (0.0, 0.5, 0.0)])
         assert spectra.flat_set_measure(f) == 0.5
 
 
@@ -94,13 +91,6 @@ class TestAutocovariance:
             for m in (0, 1, 2, 5, 13, 34, 64):
                 assert abs(spectra.autocovariance(f, m)
                            - quadrature_autocovariance(f, m)) < 1e-9
-
-    def test_polynomial_piece_against_quadrature(self):
-        f = spectra.SpectralDistribution(pieces=(
-            spectra.Piece(-0.5, 0.5, spectra.PolynomialDensity((1.5, 0.0, -6.0))),))
-        for m in (0, 1, 2, 3, 8):
-            assert abs(spectra.autocovariance(f, m)
-                       - quadrature_autocovariance(f, m)) < 1e-9
 
     def test_trig_piece_against_quadrature(self):
         f = spectra.SpectralDistribution(pieces=(
@@ -179,15 +169,6 @@ class TestPartitionMeasures:
             assert spectra.flat_set_measure(f) + p.mu_s2 + p.mu_s3 == \
                 pytest.approx(1.0, abs=1e-12)
 
-    def test_polynomial_level_set(self):
-        # density 1.5 - 6 lam^2 crosses 1 at lam = +/- 1/sqrt(12)
-        f = spectra.SpectralDistribution(pieces=(
-            spectra.Piece(-0.5, 0.5, spectra.PolynomialDensity((1.5, 0.0, -6.0))),))
-        p = spectra.partition_measures(f)
-        assert p.mu_s1 == 0.0
-        assert p.mu_s2 == pytest.approx(2 / math.sqrt(12), abs=1e-9)
-        assert p.mu_s3 == pytest.approx(1 - 2 / math.sqrt(12), abs=1e-9)
-
     def test_trig_level_set(self):
         # density 1 + cos(2 pi lam) is >= 1 exactly on |lam| <= 1/4
         f = spectra.SpectralDistribution(pieces=(
@@ -215,19 +196,25 @@ class TestCumulativeAndAuxiliary:
 class TestValidation:
     def test_total_mass_enforced(self):
         with pytest.raises(ValueError, match="mass"):
-            spectra.SpectralDistribution(pieces=(
-                spectra.Piece(-0.25, 0.25, spectra.ConstantDensity(1.0)),))
+            spectra.piecewise_constant([(-0.25, 0.25, 1.0)])
 
     def test_overlapping_pieces_rejected(self):
         with pytest.raises(ValueError, match="overlap"):
-            spectra.SpectralDistribution(pieces=(
-                spectra.Piece(-0.25, 0.25, spectra.ConstantDensity(1.0)),
-                spectra.Piece(0.0, 0.5, spectra.ConstantDensity(1.0)),))
+            spectra.piecewise_constant([(-0.25, 0.25, 1.0), (0.0, 0.5, 1.0)])
 
     def test_negative_density_rejected(self):
+        # 1 + 1.5 cos(2 pi lam) has unit mass and dips to -1/2 at lam = 1/2
         with pytest.raises(ValueError, match="negative"):
             spectra.SpectralDistribution(pieces=(
-                spectra.Piece(-0.5, 0.5, spectra.PolynomialDensity((0.25, 3.0))),))
+                spectra.Piece(-0.5, 0.5, spectra.TrigPolyDensity((0.75, 1.0, 0.75))),))
+
+    def test_non_hermitian_coefficients_rejected(self):
+        # g = (0, 1, i) would evaluate to 1 - sin(2 pi lam) while its
+        # autocovariances, r(-1) = i and r(1) = 0, belong to no real density
+        with pytest.raises(ValueError, match="Hermitian"):
+            spectra.TrigPolyDensity((0.0, 1.0, 1j))
+        with pytest.raises(ValueError, match="Hermitian"):
+            spectra.TrigPolyDensity((1.0 + 1e-9j,))
 
     def test_point_mass_location_domain(self):
         with pytest.raises(ValueError):
@@ -239,8 +226,7 @@ class TestValidation:
 
     def test_interval_outside_domain(self):
         with pytest.raises(ValueError):
-            spectra.SpectralDistribution(pieces=(
-                spectra.Piece(-0.7, 0.7, spectra.ConstantDensity(1.0)),))
+            spectra.piecewise_constant([(-0.7, 0.7, 1.0)])
 
     def test_flat_band_half_width_domain(self):
         with pytest.raises(ValueError):
