@@ -30,10 +30,9 @@ from .mcsim import (EntropyEstimate, empirical_spectrum, estimate_coherent_mi,
 from .scenario import (Scenario, ScenarioError, load_scenario, save_scenario,
                        scenario_from_dict, scenario_to_dict)
 from .spectra import (HarmonicPartition, Piece, SpectralDistribution,
-                      TrigPolyDensity,
-                      autocovariance, autocovariances, cumulative, density_at,
-                      flat_band, flat_set_measure, mixed_spectrum,
-                      partition_measures, piecewise_constant,
+                      TrigPolyDensity, autocovariance, autocovariances,
+                      cumulative, density_at, flat_band, flat_set_measure,
+                      mixed_spectrum, partition_measures, piecewise_constant,
                       point_mass_spectrum, toeplitz_covariance, white)
 
 __version__ = "0.1.0"

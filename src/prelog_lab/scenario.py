@@ -86,12 +86,12 @@ def _density_from_dict(data, where):
         return spectra.TrigPolyDensity((float(data["value"]),))
     if "coeffs" not in data:
         raise ScenarioError(f"{where}: trig density needs 'coeffs'")
-    coeffs = data["coeffs"]
-    if len(coeffs) % 2 == 0:
-        raise ScenarioError(f"{where}: trig coefficients must have odd length (m = -K..K)")
-    parsed = tuple(_complex_from(c) if isinstance(c, list) else complex(float(c))
-                   for c in coeffs)
-    return spectra.TrigPolyDensity(parsed)
+    coeffs = tuple(_complex_from(c) if isinstance(c, list) else complex(float(c))
+                   for c in data["coeffs"])
+    try:
+        return spectra.TrigPolyDensity(coeffs)
+    except ValueError as exc:
+        raise ScenarioError(f"{where}: {exc}") from None
 
 
 def _spectrum_from_dict(data):

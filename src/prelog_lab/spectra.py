@@ -40,6 +40,8 @@ class TrigPolyDensity:
 
     def __post_init__(self):
         g = np.asarray(self.coeffs, dtype=complex)
+        if len(g) % 2 == 0:
+            raise ValueError("trig coefficients must have odd length (m = -K..K)")
         if np.any(np.abs(g - np.conj(g[::-1])) > 1e-12):
             raise ValueError("trig coefficients must be Hermitian: g[-m] = conj(g[m])")
 

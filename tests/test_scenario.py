@@ -116,14 +116,16 @@ class TestValidationMessages:
         data = minimal_dict()
         data["model"]["spectrum"]["pieces"][0]["density"] = {
             "kind": "trig", "coeffs": [[0.0, 0.0], [1.0, 0.0]]}
-        with pytest.raises(ScenarioError, match="odd length"):
+        with pytest.raises(ScenarioError,
+                           match=r"\$\.model\.spectrum\.pieces\[0\]\.density: .*odd length"):
             scenario.scenario_from_dict(data)
 
     def test_non_hermitian_trig_coefficients_rejected(self):
         data = minimal_dict()
         data["model"]["spectrum"]["pieces"][0]["density"] = {
             "kind": "trig", "coeffs": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]}
-        with pytest.raises(ScenarioError, match=r"\$\.model: .*Hermitian"):
+        with pytest.raises(ScenarioError,
+                           match=r"\$\.model\.spectrum\.pieces\[0\]\.density: .*Hermitian"):
             scenario.scenario_from_dict(data)
 
     def test_polynomial_density_rejected(self):

@@ -216,6 +216,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="Hermitian"):
             spectra.TrigPolyDensity((1.0 + 1e-9j,))
 
+    def test_even_coefficient_count_rejected(self):
+        # (1, 1) is Hermitian under reversal but names no harmonics m = -K..K
+        with pytest.raises(ValueError, match="odd length"):
+            spectra.TrigPolyDensity((1.0, 1.0))
+
     def test_point_mass_location_domain(self):
         with pytest.raises(ValueError):
             spectra.point_mass_spectrum([(0.75, 1.0)])
