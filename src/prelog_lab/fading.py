@@ -179,10 +179,17 @@ def marginal_tail(model, gamma):
     """P(|H1| >= gamma), elementwise: a float for a scalar gamma, else an array
     of gamma's shape.
 
-    Closed form for Gaussian marginals (Rayleigh/Rice; filtered complex
-    Gaussian innovations included, since a unit-power filter preserves the
-    law) and for single-tap discrete alphabets; otherwise an empirical tail
-    from 1e6 cached draws, whose standard error is at most 5e-4.
+    Exact for:
+    - Gaussian marginals, Rayleigh or Rice (filtered complex Gaussian
+      innovations included, since a unit-power filter preserves the law);
+    - single-tap four-point phase, a step at each of the four atoms;
+    - unit modulus made of two circles, one tap with any mean or two taps
+      with zero mean: |H1| = |r1 + r2 e^{i psi}| with psi uniform, so the
+      tail is arccos((gamma^2 - r1^2 - r2^2) / (2 r1 r2)) / pi, clipped to
+      [0, 1], or a step at r2 when r1 = 0.
+    Four-point laws with two or more taps, and unit-modulus laws with three
+    or more taps or with two taps and a mean, read an empirical tail from
+    1e6 cached draws, whose standard error is at most 5e-4.
     """
     g = np.asarray(gamma, dtype=float)
     if np.any(g < 0):
@@ -195,8 +202,14 @@ def marginal_tail(model, gamma):
     elif len(model.taps) == 1 and model.innovation == FOUR_POINT_PHASE:
         atoms = np.abs(model.mean + model.taps[0] * _FOUR_POINTS)
         tail = np.mean(atoms >= g[..., None] - 1e-12, axis=-1)
-    elif len(model.taps) == 1 and model.innovation == UNIT_MODULUS and model.mean == 0:
-        tail = (abs(model.taps[0]) >= g - 1e-12).astype(float)
+    elif model.innovation == UNIT_MODULUS and len(model.taps) + (model.mean != 0) <= 2:
+        # the moduli of the two terms of H1; a zero mean is the r1 = 0 of one tap
+        r1, r2 = sorted(abs(c) for c in (model.mean, *model.taps))[-2:]
+        if r1 == 0:
+            tail = (r2 >= g - 1e-12).astype(float)
+        else:
+            cos_psi = (g * g - r1 * r1 - r2 * r2) / (2.0 * r1 * r2)
+            tail = np.arccos(np.clip(cos_psi, -1.0, 1.0)) / np.pi
     else:
         with _TABLE_LOCK:  # concurrent first calls for one model build one table
             samples = _marginal_samples(model)

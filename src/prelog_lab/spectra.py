@@ -77,6 +77,11 @@ class TrigPolyDensity:
         return acc
 
     def min_value(self, lo, hi):
+        """Least value on [lo, hi]: the coefficient itself for order 0; for
+        order >= 1 the least of 4097 evenly spaced samples, which can miss a
+        negative dip narrower than (hi - lo)/4096."""
+        if self.order == 0:
+            return float(np.real(self.coeffs[0]))
         grid = np.linspace(lo, hi, 4097)
         return float(np.min(self(grid)))
 

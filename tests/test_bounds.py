@@ -232,6 +232,19 @@ class TestOptimizeGamma:
         obj = np.exp(-dense**2) * (math.log(1e12) - 1 + 2 * np.log(dense))
         assert rep.coherent >= float(obj.max()) - 1e-6
 
+    def test_two_tap_unit_modulus_against_dense_grid(self):
+        # exact tail: arccos((g^2 - r1^2 - r2^2) / (2 r1 r2)) / pi
+        for taps in ([1.0, 1.0], [1.0, 0.5j]):
+            r1, r2 = np.abs(taps) / np.linalg.norm(taps)
+            model = fading.fir_model(taps, fading.UNIT_MODULUS)
+            dense = np.logspace(-6, 3, 10001)
+            cos_psi = (dense**2 - r1 * r1 - r2 * r2) / (2 * r1 * r2)
+            tail = np.arccos(np.clip(cos_psi, -1.0, 1.0)) / math.pi
+            for snr in (1e2, 1e4, 1e8):
+                _, rep = bounds.optimize_gamma(model, snr)
+                obj = tail * (math.log(snr) - 1 + 2 * np.log(dense))
+                assert rep.coherent >= float(obj.max()) - 1e-9
+
     def test_step_tail_optimum_at_one(self):
         model = fading.fir_model([1.0], fading.FOUR_POINT_PHASE)
         gamma, rep = bounds.optimize_gamma(model, 100.0)

@@ -180,7 +180,43 @@ class TestMarginalTail:
         # |H|^2 = 1 + cos(phase difference), so P(|H| >= 1) = 1/2 exactly
         m = fading.fir_model([1.0, 1.0], fading.UNIT_MODULUS)
         p = fading.marginal_tail(m, 1.0)
-        assert abs(p - 0.5) < 5 * 5e-4
+        assert abs(p - 0.5) <= 1e-15
+
+    def test_equal_radius_two_circles(self):
+        # r1 = r2 = r: |H| = 2r |cos(psi/2)|, so P(|H| >= g) = (2/pi) arccos(g / 2r)
+        for m, r in ((fading.fir_model([1.0, 1.0j], fading.UNIT_MODULUS), math.sqrt(0.5)),
+                     (fading.fir_model([1.0], fading.UNIT_MODULUS, d=-1.0j), 1.0)):
+            grid = np.linspace(0.01, 1.9, 40) * r
+            want = 2.0 / math.pi * np.arccos(grid / (2.0 * r))
+            assert np.max(np.abs(fading.marginal_tail(m, grid) - want)) <= 1e-13
+            assert fading.marginal_tail(m, 2.0 * r * (1 + 1e-9)) == 0.0
+
+    def test_two_circles_against_empirical_oracle(self, rng):
+        n = 10**6
+        for _ in range(3):
+            d = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+            taps = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            for tap_list, mean in (([1.0 + 0.5j], d), (taps, 0.0)):
+                a = np.asarray(tap_list) / np.linalg.norm(tap_list)
+                w = np.exp(2j * np.pi * rng.random((n, len(a))))
+                draws = np.abs(mean + w @ a)
+                radii = sorted(np.abs([mean, *a]))[-2:]
+                m = fading.fir_model(tap_list, fading.UNIT_MODULUS, d=mean)
+                for gamma in np.linspace(abs(radii[1] - radii[0]), sum(radii), 7)[1:-1]:
+                    p = fading.marginal_tail(m, gamma)
+                    emp = float(np.mean(draws >= gamma))
+                    se = math.sqrt(max(p * (1 - p), 1e-12) / n)
+                    assert abs(p - emp) < 5 * se
+
+    def test_two_circle_laws_build_no_tail_table(self):
+        laws = [fading.fir_model([1.0], fading.UNIT_MODULUS),
+                fading.fir_model([1.0j], fading.UNIT_MODULUS, d=0.3 - 0.2j),
+                fading.fir_model([1.0, 0.4 - 0.7j], fading.UNIT_MODULUS)]
+        misses = fading._marginal_samples.cache_info().misses
+        for m in laws:
+            fading.marginal_tail(m, np.linspace(0.0, 2.0, 9))
+            fading.marginal_tail(m, 0.9)
+        assert fading._marginal_samples.cache_info().misses == misses
 
     def test_nonincreasing_in_gamma(self):
         models = [
