@@ -85,8 +85,9 @@ def limit_ratio_check(spectrum, snr_grid, tol=0.02):
 def prelog_lower_estimate(model, snr_grid, gamma=None):
     """Extrapolated pre-log lower bound over an SNR grid.
 
-    gamma=None optimizes the threshold per grid point; a positive value fixes
-    it, mirroring the fixed-threshold form of the asymptotic argument.  The
+    gamma=None optimizes the threshold at every grid point, in one lockstep
+    search over the grid; a positive value fixes it, mirroring the
+    fixed-threshold form of the asymptotic argument.  The
     capacity-nonnegativity clamp max(bound, 0) is applied before fitting and
     the affine fit in 1/ln(snr) uses the last half of the grid, where the
     penalty term has settled into its asymptotic regime.
@@ -96,7 +97,7 @@ def prelog_lower_estimate(model, snr_grid, gamma=None):
         raise ValueError("snr grid needs at least 4 points")
     if gamma is not None and gamma <= 0:
         raise ValueError("gamma must be positive")
-    ratios = tuple(bounds.capacity_lower_bound(model, s, gamma).ratio for s in grid)
+    ratios = tuple(r.ratio for r in bounds.capacity_lower_bound(model, grid, gamma))
     half = grid.size // 2
     y = np.asarray(ratios[half:])
     if np.all(np.abs(y - y[0]) <= 1e-15):

@@ -35,6 +35,10 @@ class BoundReport:
     bound: float
 
     def __post_init__(self):
+        values = (self.snr, self.gamma, self.tail, self.coherent,
+                  self.penalty_spectral, self.bound)
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"report fields must be finite: {self}")
         if abs(self.bound - (self.coherent - self.penalty_spectral)) > 1e-12:
             raise ValueError("bound must equal coherent - penalty_spectral")
         if self.penalty_spectral < 0:
@@ -46,10 +50,14 @@ class BoundReport:
         return max(self.bound, 0.0) / math.log(self.snr) if self.snr > 1 else float("nan")
 
 
+def _check_snr(snr):
+    if not 0 < snr < math.inf:
+        raise ValueError(f"snr must be positive and finite, got {snr!r}")
+
+
 def coherent_term(snr, gamma, tail):
     """tail * ln(snr) - tail * (1 - ln gamma^2): the coherent MI lower bound."""
-    if snr <= 0:
-        raise ValueError("snr must be positive")
+    _check_snr(snr)
     if gamma <= 0:
         raise ValueError("gamma must be positive (ln gamma^2 is undefined at 0)")
     if not 0.0 <= tail <= 1.0:
@@ -64,8 +72,7 @@ def penalty_spectral(spectrum, snr):
     trigonometric pieces use adaptive quadrature with absolute tolerance 1e-9.
     Point masses have no density and contribute nothing.
     """
-    if snr <= 0:
-        raise ValueError("snr must be positive")
+    _check_snr(snr)
     total = 0.0
     for p in spectrum.pieces:
         dens = p.density
@@ -103,8 +110,7 @@ def penalty_logdets(spectrum, snr, orders):
     Cholesky of I + snr K does, and the failure raises NumericalError with
     the order and the snr.
     """
-    if snr <= 0:
-        raise ValueError("snr must be positive")
+    _check_snr(snr)
     orders = [int(n) for n in orders]
     if not orders or min(orders) < 1:
         raise ValueError("matrix order must be at least 1")
@@ -143,62 +149,103 @@ def penalty_logdet(spectrum, snr, n):
     return float(penalty_logdets(spectrum, snr, [n])[0])
 
 
+def _snr_values(snr):
+    """snr as a 1-d float array, every entry checked before any work."""
+    snrs = np.atleast_1d(np.asarray(snr, dtype=float))
+    if snrs.ndim != 1:
+        raise ValueError("snr must be a number or a 1-d grid")
+    for s in snrs.tolist():
+        _check_snr(s)
+    return snrs
+
+
 def capacity_lower_bound(model, snr, gamma=None):
-    """BoundReport at one snr and threshold gamma; gamma=None takes the
-    threshold from optimize_gamma.  The raw bound may be negative, and
-    capacity satisfies C >= max(bound, 0)."""
+    """BoundReport at snr and threshold gamma, elementwise in snr: one report
+    for a number, a list with one report per snr for a 1-d grid.
+
+    gamma is one threshold for every snr, one threshold per snr, or None for
+    the thresholds of optimize_gamma.  The tail is computed once for the
+    whole grid.  The raw bound may be negative, and capacity satisfies
+    C >= max(bound, 0).
+    """
     if gamma is None:
-        return optimize_gamma(model, snr)[1]
-    tail = fading.marginal_tail(model, gamma)
-    coherent = coherent_term(snr, gamma, tail)
-    penalty = penalty_spectral(model.spectrum, snr)
-    return BoundReport(snr=float(snr), gamma=float(gamma), tail=tail,
-                       coherent=coherent, penalty_spectral=penalty,
-                       bound=coherent - penalty)
+        found = optimize_gamma(model, snr)
+        return found[1] if np.ndim(snr) == 0 else [report for _, report in found]
+    snrs = _snr_values(snr)
+    gammas = np.broadcast_to(np.asarray(gamma, dtype=float), snrs.shape)
+    tails = fading.marginal_tail(model, gammas)
+    reports = []
+    for s, g, tail in zip(snrs.tolist(), gammas.tolist(), tails.tolist()):
+        coherent = coherent_term(s, g, tail)
+        penalty = penalty_spectral(model.spectrum, s)
+        reports.append(BoundReport(snr=s, gamma=g, tail=tail, coherent=coherent,
+                                   penalty_spectral=penalty, bound=coherent - penalty))
+    return reports[0] if np.ndim(snr) == 0 else reports
 
 
 _GAMMA_GRID = np.logspace(-6.0, 3.0, 601)
+_LN_GAMMA_GRID = np.array([math.log(g) for g in _GAMMA_GRID])
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def optimize_gamma(model, snr):
-    """Best threshold for the bound at this snr: grid search over
-    [1e-6, 1e3] (601 log-spaced points, Gamma = 1 among them) refined by
-    golden-section on the bracketing interval; ties go to the smaller Gamma.
+def _exp(x):
+    """math.exp elementwise, so each point rounds as the scalar search's did."""
+    return np.fromiter(map(math.exp, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
-    The penalty does not depend on Gamma, so only the coherent term is
-    searched.  The returned bound is never below the bound at Gamma = 1.
+
+def optimize_gamma(model, snr):
+    """(gamma, BoundReport) with the best threshold for the bound at snr,
+    elementwise in snr: one pair for a number, a list with one pair per snr
+    for a 1-d grid.
+
+    Per snr: a grid search over [1e-6, 1e3] (601 log-spaced points, Gamma = 1
+    among them) refined by 50 golden-section steps on the bracketing
+    interval.  The penalty does not depend on Gamma, so only the coherent
+    term is searched; the tail does not depend on snr, so a grid runs in
+    lockstep: one tail call scores the 601 points for every snr, and each
+    golden-section step makes one tail call for the whole grid.  The tie
+    rules are per snr: the first (smallest) grid maximizer, the left
+    subinterval on ties, and among the grid point, the refined point and
+    Gamma = 1, values within 1e-9 nats count as ties and go to the smaller
+    Gamma.  So the returned bound is never below the bound at Gamma = 1, and
+    every element equals the one-snr call bit for bit.
     """
-    if snr <= 1:
-        raise ValueError("snr must exceed 1 so that ln snr > 0")
-    lsnr = math.log(snr)
+    snrs = _snr_values(snr)
+    low = snrs[snrs <= 1]
+    if low.size:
+        raise ValueError(f"snr must exceed 1 so that ln snr > 0, got {float(low[0])!r}")
+    lsnr = np.array([math.log(s) for s in snrs.tolist()])[:, None]  # one row per snr
 
     def objective(g):
         return fading.marginal_tail(model, g) * (lsnr - 1.0 + 2.0 * np.log(g))
 
     values = objective(_GAMMA_GRID)
-    i = int(np.argmax(values))  # argmax takes the first = smallest gamma on ties
-    a = math.log(_GAMMA_GRID[max(i - 1, 0)])
-    b = math.log(_GAMMA_GRID[min(i + 1, len(_GAMMA_GRID) - 1)])
+    i = np.argmax(values, axis=1)  # argmax takes the first = smallest gamma on ties
+    a = _LN_GAMMA_GRID[np.maximum(i - 1, 0), None]
+    b = _LN_GAMMA_GRID[np.minimum(i + 1, _GAMMA_GRID.size - 1), None]
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
-    fc, fd = objective(math.exp(c)), objective(math.exp(d))
+    fc, fd = np.hsplit(objective(_exp(np.hstack([c, d]))), 2)
     for _ in range(50):
-        if fc >= fd:  # keep the left subinterval on ties
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = objective(math.exp(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = objective(math.exp(d))
-    refined = math.exp(0.5 * (a + b))
-    candidates = [(float(_GAMMA_GRID[i]), float(values[i])),
-                  (refined, objective(refined)),
-                  (1.0, objective(1.0))]
-    best_g, best_v = candidates[0]
-    for g, v in candidates[1:]:
-        # near-ties (within 1e-9 nats) count as ties and go to the smaller gamma
-        if v > best_v + 1e-9 or (v >= best_v - 1e-9 and g < best_g):
-            best_g, best_v = g, v
-    return best_g, capacity_lower_bound(model, snr, best_g)
+        left = fc >= fd  # keep the left subinterval on ties
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        step = _GOLDEN * (b - a)
+        x = np.where(left, b - step, a + step)
+        fx = objective(_exp(x))
+        c, d = np.where(left, x, d), np.where(left, c, x)
+        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
+    refined = _exp(0.5 * (a + b))
+    f_refined, f_one = np.hsplit(objective(np.hstack([refined, np.ones_like(refined)])), 2)
+    gammas = []
+    for k, j in enumerate(i.tolist()):
+        candidates = [(float(_GAMMA_GRID[j]), float(values[k, j])),
+                      (float(refined[k, 0]), float(f_refined[k, 0])),
+                      (1.0, float(f_one[k, 0]))]
+        best_g, best_v = candidates[0]
+        for g, v in candidates[1:]:
+            # near-ties (within 1e-9 nats) count as ties and go to the smaller gamma
+            if v > best_v + 1e-9 or (v >= best_v - 1e-9 and g < best_g):
+                best_g, best_v = g, v
+        gammas.append(best_g)
+    found = [(r.gamma, r) for r in capacity_lower_bound(model, snrs, gammas)]
+    return found[0] if np.ndim(snr) == 0 else found

@@ -34,12 +34,12 @@ def run_bound(scen):
     """Rows: snr, gamma, tail, coherent, penalty, bound, clamped bound, ratio."""
     _require_output(scen, "bound")
 
-    def evaluate(snr):
-        r = bounds.capacity_lower_bound(scen.model, snr, scen.gamma)
-        return [snr, r.gamma, r.tail, r.coherent, r.penalty_spectral, r.bound,
+    def row(r):
+        return [r.snr, r.gamma, r.tail, r.coherent, r.penalty_spectral, r.bound,
                 max(r.bound, 0.0), r.ratio]
 
-    rows = parallel_map(evaluate, scen.snr_grid)
+    reports = bounds.capacity_lower_bound(scen.model, scen.snr_grid, scen.gamma)
+    rows = parallel_map(row, reports)
     header = ["snr", "gamma", "tail", "coherent_nats", "penalty_nats",
               "bound_nats", "bound_clamped_nats", "ratio"]
     return header, rows, None
@@ -168,8 +168,11 @@ def _build_parser():
     return parser
 
 
+_PARSER = _build_parser()  # parse_args keeps no state between calls
+
+
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         scen = scenario.load_scenario(args.scenario)
         if args.seed is not None:

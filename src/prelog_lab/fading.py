@@ -17,7 +17,7 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.stats
+import scipy.special
 
 from . import spectra
 from .errors import NumericalError, UnsupportedModelError
@@ -192,13 +192,15 @@ def marginal_tail(model, gamma):
     1e6 cached draws, whose standard error is at most 5e-4.
     """
     g = np.asarray(gamma, dtype=float)
-    if np.any(g < 0):
+    if (g < 0).any():
         raise ValueError("gamma must be nonnegative")
     if model.kind == GAUSSIAN or model.innovation == COMPLEX_GAUSSIAN:
         if model.mean == 0:
             tail = np.exp(-g * g)
         else:
-            tail = scipy.stats.rice.sf(g, np.sqrt(2.0) * abs(model.mean), scale=np.sqrt(0.5))
+            # scipy.stats.rice.sf(g, sqrt(2)|d|, scale=sqrt(1/2)), by its own formula
+            tail = 1.0 - scipy.special.chndtr(np.square(g / np.sqrt(0.5)), 2,
+                                              np.square(np.sqrt(2.0) * abs(model.mean)))
     elif len(model.taps) == 1 and model.innovation == FOUR_POINT_PHASE:
         atoms = np.abs(model.mean + model.taps[0] * _FOUR_POINTS)
         tail = np.mean(atoms >= g[..., None] - 1e-12, axis=-1)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -271,6 +272,92 @@ class TestOptimizeGamma:
         for snr, gamma, bound in pins:
             g, rep = bounds.optimize_gamma(model, snr)
             assert (repr(g), repr(rep.bound)) == (gamma, bound)
+
+
+SHIPPED_GRID = [1e4, 1e6, 1e8, 1e10, 1e12, 1e14, 1e16]
+
+# one model per tail path of fading.marginal_tail
+TAIL_PATHS = {
+    "rayleigh": fading.gaussian_model(spectra.white()),
+    "rice": fading.gaussian_model(spectra.flat_band(0.25), d=0.7),
+    "fir-complex-gaussian": fading.fir_model([1.0, 0.5j]),
+    "four-point-single-tap": fading.fir_model([1.0], fading.FOUR_POINT_PHASE, d=0.3),
+    "unit-modulus-step": fading.fir_model([1.0], fading.UNIT_MODULUS),
+    "unit-modulus-arccos": fading.fir_model([1.0, 0.5], fading.UNIT_MODULUS),
+    "empirical": fading.fir_model([1.0, 0.5], fading.FOUR_POINT_PHASE),
+}
+
+
+class TestGridForm:
+    @pytest.mark.parametrize("grid", [[2.0, 5.0, 100.0, 1e8], SHIPPED_GRID],
+                             ids=["low", "shipped"])
+    @pytest.mark.parametrize("path", sorted(TAIL_PATHS))
+    def test_grid_equals_per_snr_calls_bitwise(self, path, grid):
+        model = TAIL_PATHS[path]
+        found = bounds.optimize_gamma(model, grid)
+        assert isinstance(found, list) and len(found) == len(grid)
+        assert repr(found) == repr([bounds.optimize_gamma(model, s) for s in grid])
+        assert repr(bounds.capacity_lower_bound(model, np.array(grid))) == repr(
+            [report for _, report in found])
+        fixed = bounds.capacity_lower_bound(model, grid, 0.8)
+        assert repr(fixed) == repr([bounds.capacity_lower_bound(model, s, 0.8)
+                                    for s in grid])
+
+    def test_scalar_and_one_element_grid(self):
+        model = TAIL_PATHS["rayleigh"]
+        gamma, report = bounds.optimize_gamma(model, 100.0)
+        assert isinstance(gamma, float) and isinstance(report, bounds.BoundReport)
+        assert bounds.optimize_gamma(model, [100.0]) == [(gamma, report)]
+        assert bounds.capacity_lower_bound(model, np.float64(100.0), 1.0) == \
+            bounds.capacity_lower_bound(model, [100.0], 1.0)[0]
+
+    @pytest.mark.parametrize("grid", [[2.0, 1.0, 100.0], [0.5], [5.0, -3.0]])
+    def test_grid_with_snr_at_most_one_is_rejected(self, grid):
+        with pytest.raises(ValueError, match="snr"):
+            bounds.optimize_gamma(TAIL_PATHS["rayleigh"], grid)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_snr_is_rejected(self, bad):
+        model = TAIL_PATHS["rayleigh"]
+        named = re.escape(repr(bad))
+        for call in (lambda: bounds.optimize_gamma(model, bad),
+                     lambda: bounds.optimize_gamma(model, [10.0, bad]),
+                     lambda: bounds.capacity_lower_bound(model, bad, 1.0),
+                     lambda: bounds.capacity_lower_bound(model, [10.0, bad], 1.0),
+                     lambda: bounds.coherent_term(bad, 1.0, 0.5),
+                     lambda: bounds.penalty_spectral(model.spectrum, bad)):
+            with pytest.raises(ValueError, match=named):
+                call()
+
+    def test_grid_is_checked_before_any_tail(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(fading, "marginal_tail", lambda *a: calls.append(a))
+        with pytest.raises(ValueError, match="nan"):
+            bounds.capacity_lower_bound(TAIL_PATHS["rayleigh"], [10.0, 20.0, math.nan], 1.0)
+        assert calls == []
+
+    def test_report_rejects_non_finite_fields(self):
+        good = dict(snr=10.0, gamma=1.0, tail=0.5, coherent=1.0,
+                    penalty_spectral=0.5, bound=0.5)
+        bounds.BoundReport(**good)
+        for field in good:
+            for bad in (math.nan, math.inf):
+                with pytest.raises(ValueError, match="finite"):
+                    bounds.BoundReport(**{**good, field: bad})
+
+    def test_shipped_grid_search_makes_few_tail_calls(self, monkeypatch):
+        # the per-snr search made 56 tail calls per point: 392 on this grid
+        calls = []
+        tail = fading.marginal_tail
+
+        def counted(model, gamma):
+            calls.append(np.shape(gamma))
+            return tail(model, gamma)
+
+        monkeypatch.setattr(fading, "marginal_tail", counted)
+        found = bounds.optimize_gamma(TAIL_PATHS["rayleigh"], SHIPPED_GRID)
+        assert len(found) == 7
+        assert len(calls) < 70
 
 
 class TestMatrixSteps:

@@ -284,6 +284,27 @@ class TestSerial:
         assert code == 0, err
 
 
+class TestParserReuse:
+    # main parses every call with one parser built at import
+    def test_bits_does_not_carry_into_the_next_run(self, capsys):
+        scen = str(ROOT / "scenarios" / "white_rayleigh.json")
+        _, bits_out, _ = run(capsys, ["bound", "--scenario", scen, "--bits"])
+        code, nats_out, _ = run(capsys, ["bound", "--scenario", scen])
+        assert code == 0
+        assert parse(bits_out)[0][3] == "coherent_bits"
+        header, _ = parse(nats_out)
+        assert [h for h in header if h.endswith("_nats")] == [
+            "coherent_nats", "penalty_nats", "bound_nats", "bound_clamped_nats"]
+
+    def test_seed_override_does_not_carry_into_the_next_run(self, tmp_path, capsys):
+        path = write_scenario(tmp_path)
+        _, first, _ = run(capsys, ["spectrum-check", "--scenario", path])
+        _, seeded, _ = run(capsys, ["spectrum-check", "--scenario", path, "--seed", "99"])
+        code, again, _ = run(capsys, ["spectrum-check", "--scenario", path])
+        assert code == 0
+        assert seeded != first and again == first
+
+
 class TestModuleEntryPoint:
     def test_python_m_prints_the_same_csv(self, capsys):
         scen = str(ROOT / "scenarios" / "white_rayleigh.json")

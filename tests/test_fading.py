@@ -170,6 +170,21 @@ class TestMarginalTail:
             se = math.sqrt(max(p * (1 - p), 1e-12) / n)
             assert abs(p - emp) < 5 * se
 
+    def test_rice_is_bitwise_scipy_rice_sf(self):
+        # scipy.stats serves only as the oracle: the library evaluates the
+        # noncentral chi-square formula that rice.sf uses
+        import scipy.stats
+        gammas = np.concatenate([np.logspace(-6.0, 3.0, 10601),
+                                 np.linspace(0.0, 6.0, 600)])
+        for d in (0.05, 0.3, 0.7, 1.0 + 1.0j, 2.5, -4.0j):
+            m = fading.gaussian_model(spectra.white(), d=d)
+            want = scipy.stats.rice.sf(gammas, math.sqrt(2.0) * abs(d),
+                                       scale=math.sqrt(0.5))
+            want[gammas == 0] = 1.0
+            assert np.array_equal(fading.marginal_tail(m, gammas), want)
+            for i in (0, 1, 5000, 10600, 10700, 11200):
+                assert fading.marginal_tail(m, float(gammas[i])) == want[i]
+
     def test_four_point_single_tap_step(self):
         m = fading.fir_model([1.0], fading.FOUR_POINT_PHASE)
         assert fading.marginal_tail(m, 0.5) == 1.0
