@@ -95,8 +95,6 @@ def prelog_lower_estimate(model, snr_grid, gamma=None):
     grid = _validated_grid(snr_grid)
     if grid.size < 4:
         raise ValueError("snr grid needs at least 4 points")
-    if gamma is not None and gamma <= 0:
-        raise ValueError("gamma must be positive")
     ratios = tuple(r.ratio for r in bounds.capacity_lower_bound(model, grid, gamma))
     half = grid.size // 2
     y = np.asarray(ratios[half:])

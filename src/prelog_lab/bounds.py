@@ -168,10 +168,9 @@ def capacity_lower_bound(model, snr, gamma=None):
     whole grid.  The raw bound may be negative, and capacity satisfies
     C >= max(bound, 0).
     """
-    if gamma is None:
-        found = optimize_gamma(model, snr)
-        return found[1] if np.ndim(snr) == 0 else [report for _, report in found]
     snrs = _snr_values(snr)
+    if gamma is None:
+        gamma = optimize_gamma(model, snrs)
     gammas = np.broadcast_to(np.asarray(gamma, dtype=float), snrs.shape)
     tails = fading.marginal_tail(model, gammas)
     reports = []
@@ -194,9 +193,8 @@ def _exp(x):
 
 
 def optimize_gamma(model, snr):
-    """(gamma, BoundReport) with the best threshold for the bound at snr,
-    elementwise in snr: one pair for a number, a list with one pair per snr
-    for a 1-d grid.
+    """The best threshold for the bound at snr, elementwise in snr: a float
+    for a number, an array with one threshold per snr for a 1-d grid.
 
     Per snr: a grid search over [1e-6, 1e3] (601 log-spaced points, Gamma = 1
     among them) refined by 50 golden-section steps on the bracketing
@@ -207,8 +205,8 @@ def optimize_gamma(model, snr):
     rules are per snr: the first (smallest) grid maximizer, the left
     subinterval on ties, and among the grid point, the refined point and
     Gamma = 1, values within 1e-9 nats count as ties and go to the smaller
-    Gamma.  So the returned bound is never below the bound at Gamma = 1, and
-    every element equals the one-snr call bit for bit.
+    Gamma.  So the bound at the returned threshold is never below the bound
+    at Gamma = 1, and every element equals the one-snr call bit for bit.
     """
     snrs = _snr_values(snr)
     low = snrs[snrs <= 1]
@@ -236,7 +234,7 @@ def optimize_gamma(model, snr):
         fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
     refined = _exp(0.5 * (a + b))
     f_refined, f_one = np.hsplit(objective(np.hstack([refined, np.ones_like(refined)])), 2)
-    gammas = []
+    gammas = np.empty(snrs.size)
     for k, j in enumerate(i.tolist()):
         candidates = [(float(_GAMMA_GRID[j]), float(values[k, j])),
                       (float(refined[k, 0]), float(f_refined[k, 0])),
@@ -246,6 +244,5 @@ def optimize_gamma(model, snr):
             # near-ties (within 1e-9 nats) count as ties and go to the smaller gamma
             if v > best_v + 1e-9 or (v >= best_v - 1e-9 and g < best_g):
                 best_g, best_v = g, v
-        gammas.append(best_g)
-    found = [(r.gamma, r) for r in capacity_lower_bound(model, snrs, gammas)]
-    return found[0] if np.ndim(snr) == 0 else found
+        gammas[k] = best_g
+    return float(gammas[0]) if np.ndim(snr) == 0 else gammas

@@ -149,10 +149,10 @@ def estimate_coherent_mi(model, snr, n_samples, seed):
     k-NN entropy of |Y|^2 plus ln pi.  The estimate is mean stratum entropy
     minus ln(pi e); its standard error is the stratum spread over sqrt(64).
     """
-    if snr <= 0:
-        raise ValueError("snr must be positive")
+    if not 0 < snr < math.inf:
+        raise ValueError(f"snr must be positive and finite, got {snr!r}")
     if n_samples < 10**4:
-        raise ValueError("need at least 1e4 samples")
+        raise ValueError(f"need at least 10000 samples, got {n_samples}")
     base = [int(s) for s in seed] if np.iterable(seed) else [int(seed)]
     per = n_samples // _STRATA
     peak = math.sqrt(snr)

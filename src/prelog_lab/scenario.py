@@ -2,8 +2,9 @@
 study parameters, validated against the schema shipped with the package.
 
 Loading normalizes the description (complex numbers as [re, im] pairs, SNR
-grids expanded to explicit lists, filter taps in their unit-power form), so a
-load -> dump -> load round trip is the identity on every field.
+grids expanded to explicit lists, filter taps in their unit-power form) and
+resolves every omitted field to its default, once, so a load -> dump -> load
+round trip is the identity on every field.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ import numpy as np
 
 from . import fading, spectra
 
-ARTIFACTS = ("bound", "prelog", "szego", "mi", "spectrum-check")
-
+DEFAULT_FIT_TOLERANCE = 0.05
 DEFAULT_N_LIST = (128, 256, 512, 1024, 2048)
 DEFAULT_PATH_LENGTH = 65536
 DEFAULT_SEGMENT_LENGTH = 256
@@ -34,26 +34,15 @@ class Scenario:
     name: str
     model: fading.FadingModel
     snr_grid: tuple
-    gamma_mode: object  # "optimized" or a positive float
+    gamma: float | None  # the fixed threshold, None when optimized per snr
     outputs: tuple
-    seed: int = 0
-    tolerances: tuple = ()  # sorted (name, value) pairs
-    snr: float | None = None
-    n_list: tuple = DEFAULT_N_LIST
-    mc_samples: int | None = None
-    path_length: int = DEFAULT_PATH_LENGTH
-    segment_length: int = DEFAULT_SEGMENT_LENGTH
-
-    def tolerance(self, name, default):
-        for key, value in self.tolerances:
-            if key == name:
-                return value
-        return default
-
-    @property
-    def gamma(self):
-        """The fixed threshold, or None when gamma_mode is "optimized"."""
-        return None if self.gamma_mode == "optimized" else float(self.gamma_mode)
+    seed: int
+    fit_tolerance: float  # margin of the prelog verdict
+    snr: float  # the szego snr, the first grid point unless given
+    n_list: tuple
+    mc_samples: int | None
+    path_length: int
+    segment_length: int
 
     def with_seed(self, seed):
         if seed < 0:
@@ -161,18 +150,17 @@ def scenario_from_dict(data):
         loc = "$" + "".join(f"[{p!r}]" if isinstance(p, str) else f"[{p}]"
                             for p in error.absolute_path)
         raise ScenarioError(f"{loc}: {error.message}")
-    tolerances = tuple(sorted((k, float(v))
-                              for k, v in data.get("tolerances", {}).items()))
     gamma_mode = data.get("gamma_mode", "optimized")
+    snr_grid = _grid_from(data["snr_grid"])
     return Scenario(
         name=data["name"],
         model=_model_from_dict(data["model"]),
-        snr_grid=_grid_from(data["snr_grid"]),
-        gamma_mode=gamma_mode if gamma_mode == "optimized" else float(gamma_mode),
+        snr_grid=snr_grid,
+        gamma=None if gamma_mode == "optimized" else float(gamma_mode),
         outputs=tuple(data["outputs"]),
         seed=int(data.get("seed", 0)),
-        tolerances=tolerances,
-        snr=float(data["snr"]) if "snr" in data else None,
+        fit_tolerance=float(data.get("tolerances", {}).get("fit", DEFAULT_FIT_TOLERANCE)),
+        snr=float(data.get("snr", snr_grid[0])),
         n_list=tuple(int(n) for n in data.get("n_list", DEFAULT_N_LIST)),
         mc_samples=int(data["mc_samples"]) if "mc_samples" in data else None,
         path_length=int(data.get("path_length", DEFAULT_PATH_LENGTH)),
@@ -186,32 +174,37 @@ def scenario_to_dict(scen):
         "name": scen.name,
         "model": _model_to_dict(scen.model),
         "snr_grid": list(scen.snr_grid),
-        "gamma_mode": scen.gamma_mode,
+        "gamma_mode": "optimized" if scen.gamma is None else scen.gamma,
         "outputs": list(scen.outputs),
         "seed": scen.seed,
+        "tolerances": {"fit": scen.fit_tolerance},
+        "snr": scen.snr,
         "n_list": list(scen.n_list),
         "path_length": scen.path_length,
         "segment_length": scen.segment_length,
     }
-    if scen.tolerances:
-        out["tolerances"] = dict(scen.tolerances)
-    if scen.snr is not None:
-        out["snr"] = scen.snr
     if scen.mc_samples is not None:
         out["mc_samples"] = scen.mc_samples
     return out
+
+
+def _finite(token):
+    """A JSON number as a float, rejecting NaN, Infinity and overflows like 1e999."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise ScenarioError(f"non-finite number {token} is not allowed")
+    return value
 
 
 def load_scenario(path):
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
-        data = json.loads(text)
+        return scenario_from_dict(
+            json.loads(text, parse_float=_finite, parse_constant=_finite))
     except json.JSONDecodeError as exc:
         raise ScenarioError(
             f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from None
-    try:
-        return scenario_from_dict(data)
     except ScenarioError as exc:
         raise ScenarioError(f"{path}: {exc}") from None
 

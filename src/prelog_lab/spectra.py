@@ -77,13 +77,15 @@ class TrigPolyDensity:
         return acc
 
     def min_value(self, lo, hi):
-        """Least value on [lo, hi]: the coefficient itself for order 0; for
-        order >= 1 the least of 4097 evenly spaced samples, which can miss a
-        negative dip narrower than (hi - lo)/4096."""
-        if self.order == 0:
-            return float(np.real(self.coeffs[0]))
-        grid = np.linspace(lo, hi, 4097)
-        return float(np.min(self(grid)))
+        """Least value on [lo, hi], over both ends and the critical points
+        inside.  With z = exp(i 2 pi lambda) the derivative is the polynomial
+        sum_m i 2 pi m g_m z^m, whose roots' angles hold every critical point;
+        a root off the unit circle only adds one more point to evaluate."""
+        roots = np.polynomial.polynomial.polyroots(
+            2j * np.pi * self._harmonics() * np.asarray(self.coeffs, dtype=complex))
+        lams = np.angle(roots) / (2 * np.pi)
+        points = np.concatenate([[lo, hi], lams[(lams > lo) & (lams < hi)]])
+        return float(np.min(self(points)))
 
     def level_measures(self, lo, hi):
         """Measures of {density >= 1} and {0 < density < 1} on [lo, hi].

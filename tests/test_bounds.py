@@ -207,9 +207,10 @@ class TestCapacityLowerBound:
 
     def test_gamma_none_is_the_optimized_report(self):
         model = fading.fir_model([1.0, 1.0], fading.UNIT_MODULUS)
-        gamma, want = bounds.optimize_gamma(model, 1e4)
+        gamma = bounds.optimize_gamma(model, 1e4)
         rep = bounds.capacity_lower_bound(model, 1e4)
-        assert rep == want and rep.gamma == gamma
+        assert rep == bounds.capacity_lower_bound(model, 1e4, gamma)
+        assert rep.gamma == gamma
 
 
 class TestOptimizeGamma:
@@ -221,14 +222,14 @@ class TestOptimizeGamma:
         ]
         for model in models:
             for snr in (5.0, 100.0, 1e8):
-                _, rep = bounds.optimize_gamma(model, snr)
+                rep = bounds.capacity_lower_bound(model, snr)
                 base = bounds.capacity_lower_bound(model, snr, 1.0)
                 assert rep.bound >= base.bound - 1e-12
 
     def test_flat_band_high_snr_against_dense_grid(self):
         model = fading.gaussian_model(spectra.flat_band(0.25))
-        gamma, rep = bounds.optimize_gamma(model, 1e12)
-        assert gamma == pytest.approx(0.2, abs=0.05)
+        rep = bounds.capacity_lower_bound(model, 1e12)
+        assert rep.gamma == pytest.approx(0.2, abs=0.05)
         dense = np.logspace(-6, 3, 10001)
         obj = np.exp(-dense**2) * (math.log(1e12) - 1 + 2 * np.log(dense))
         assert rep.coherent >= float(obj.max()) - 1e-6
@@ -242,14 +243,14 @@ class TestOptimizeGamma:
             cos_psi = (dense**2 - r1 * r1 - r2 * r2) / (2 * r1 * r2)
             tail = np.arccos(np.clip(cos_psi, -1.0, 1.0)) / math.pi
             for snr in (1e2, 1e4, 1e8):
-                _, rep = bounds.optimize_gamma(model, snr)
+                rep = bounds.capacity_lower_bound(model, snr)
                 obj = tail * (math.log(snr) - 1 + 2 * np.log(dense))
                 assert rep.coherent >= float(obj.max()) - 1e-9
 
     def test_step_tail_optimum_at_one(self):
         model = fading.fir_model([1.0], fading.FOUR_POINT_PHASE)
-        gamma, rep = bounds.optimize_gamma(model, 100.0)
-        assert abs(math.log(gamma)) < 9 / 600 * math.log(10) + 1e-9
+        rep = bounds.capacity_lower_bound(model, 100.0)
+        assert abs(math.log(rep.gamma)) < 9 / 600 * math.log(10) + 1e-9
         assert rep.coherent == pytest.approx(math.log(100.0) - 1.0, abs=1e-9)
 
     def test_requires_snr_above_one(self):
@@ -270,8 +271,8 @@ class TestOptimizeGamma:
     ], ids=["rice", "empirical"])
     def test_pinned_optimum(self, model, pins):
         for snr, gamma, bound in pins:
-            g, rep = bounds.optimize_gamma(model, snr)
-            assert (repr(g), repr(rep.bound)) == (gamma, bound)
+            rep = bounds.capacity_lower_bound(model, snr)
+            assert (repr(rep.gamma), repr(rep.bound)) == (gamma, bound)
 
 
 SHIPPED_GRID = [1e4, 1e6, 1e8, 1e10, 1e12, 1e14, 1e16]
@@ -294,20 +295,25 @@ class TestGridForm:
     @pytest.mark.parametrize("path", sorted(TAIL_PATHS))
     def test_grid_equals_per_snr_calls_bitwise(self, path, grid):
         model = TAIL_PATHS[path]
-        found = bounds.optimize_gamma(model, grid)
+        found = bounds.capacity_lower_bound(model, grid)
         assert isinstance(found, list) and len(found) == len(grid)
-        assert repr(found) == repr([bounds.optimize_gamma(model, s) for s in grid])
-        assert repr(bounds.capacity_lower_bound(model, np.array(grid))) == repr(
-            [report for _, report in found])
+        assert repr(found) == repr([bounds.capacity_lower_bound(model, s) for s in grid])
+        assert repr(bounds.capacity_lower_bound(model, np.array(grid))) == repr(found)
+        gammas = bounds.optimize_gamma(model, grid)
+        assert repr(found) == repr(bounds.capacity_lower_bound(model, grid, gammas))
         fixed = bounds.capacity_lower_bound(model, grid, 0.8)
         assert repr(fixed) == repr([bounds.capacity_lower_bound(model, s, 0.8)
                                     for s in grid])
 
     def test_scalar_and_one_element_grid(self):
         model = TAIL_PATHS["rayleigh"]
-        gamma, report = bounds.optimize_gamma(model, 100.0)
-        assert isinstance(gamma, float) and isinstance(report, bounds.BoundReport)
-        assert bounds.optimize_gamma(model, [100.0]) == [(gamma, report)]
+        gamma = bounds.optimize_gamma(model, 100.0)
+        assert isinstance(gamma, float)
+        gammas = bounds.optimize_gamma(model, [100.0])
+        assert isinstance(gammas, np.ndarray) and gammas.tolist() == [gamma]
+        report = bounds.capacity_lower_bound(model, 100.0)
+        assert isinstance(report, bounds.BoundReport) and report.gamma == gamma
+        assert bounds.capacity_lower_bound(model, [100.0]) == [report]
         assert bounds.capacity_lower_bound(model, np.float64(100.0), 1.0) == \
             bounds.capacity_lower_bound(model, [100.0], 1.0)[0]
 
@@ -356,7 +362,7 @@ class TestGridForm:
 
         monkeypatch.setattr(fading, "marginal_tail", counted)
         found = bounds.optimize_gamma(TAIL_PATHS["rayleigh"], SHIPPED_GRID)
-        assert len(found) == 7
+        assert found.shape == (7,)
         assert len(calls) < 70
 
 

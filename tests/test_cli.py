@@ -77,7 +77,7 @@ class TestBoundCommand:
         header, rows = parse(out)
         row = dict(zip(header, map(float, rows[0])))
         model = scenario.load_scenario(path).model
-        _, report = bounds.optimize_gamma(model, 100.0)
+        report = bounds.capacity_lower_bound(model, 100.0)
         assert row["gamma"] == pytest.approx(report.gamma, abs=1e-12)
         assert row["coherent_nats"] == pytest.approx(report.coherent, abs=1e-11)
 
@@ -245,11 +245,35 @@ class TestSpectrumCheckCommand:
 
 
 class TestErrorPaths:
-    def test_artifact_not_listed(self, tmp_path, capsys):
-        path = write_scenario(tmp_path, outputs=["szego"])
-        code, _, err = run(capsys, ["bound", "--scenario", path])
-        assert code == 2
-        assert "'bound'" in err
+    COMMANDS = ("bound", "prelog", "szego", "mi", "spectrum-check")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_artifact_not_listed(self, tmp_path, capsys, command):
+        others = [c for c in self.COMMANDS if c != command]
+        path = write_scenario(tmp_path, outputs=others, mc_samples=10000)
+        code, out, err = run(capsys, [command, "--scenario", path])
+        assert code == 2 and out == ""
+        assert f"does not list the {command!r} artifact" in err
+
+    @pytest.mark.parametrize("where, token", [("snr_grid", "[NaN]"),
+                                              ("snr", "Infinity"),
+                                              ("density", "-Infinity"),
+                                              ("snr_grid", "[1e999]")])
+    def test_non_finite_number_is_a_validation_error(self, tmp_path, capsys,
+                                                     where, token):
+        text = pathlib.Path(write_scenario(tmp_path)).read_text()
+        if where == "density":
+            text = text.replace('"value": 1.0', f'"value": {token}')
+        elif where == "snr":
+            text = text.replace('"seed": 7', f'"seed": 7, "snr": {token}')
+        else:
+            text = text.replace('"snr_grid": [100.0]', f'"snr_grid": {token}')
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        for command in ("bound", "mi", "szego"):
+            code, out, err = run(capsys, [command, "--scenario", str(bad)])
+            assert code == 2 and out == ""
+            assert "bad.json: non-finite number " + token.strip("[]") in err
 
     def test_invalid_json(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

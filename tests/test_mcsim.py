@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -221,7 +222,7 @@ class TestEstimateCoherentMi:
 
     def test_dominates_coherent_term_at_snr_100(self):
         est = mcsim.estimate_coherent_mi(self.WHITE, 100.0, 64000, 5)
-        _, report = bounds.optimize_gamma(self.WHITE, 100.0)
+        report = bounds.capacity_lower_bound(self.WHITE, 100.0)
         assert est.value >= report.coherent - 3 * est.standard_error
 
     def test_agrees_with_direct_estimate_for_unit_modulus_fading(self):
@@ -265,6 +266,16 @@ class TestEstimateCoherentMi:
     def test_snr_must_be_positive(self):
         with pytest.raises(ValueError, match="snr"):
             mcsim.estimate_coherent_mi(self.WHITE, 0.0, 10**4, 0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0])
+    def test_non_finite_snr_is_rejected_before_any_draw(self, bad, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("drew fading before checking the snr")
+
+        monkeypatch.setattr(fading, "draw_marginal", refuse)
+        with pytest.raises(ValueError,
+                           match=re.escape(f"snr must be positive and finite, got {bad!r}")):
+            mcsim.estimate_coherent_mi(self.WHITE, bad, 10**4, 0)
 
 
 class TestEmpiricalSpectrum:

@@ -51,14 +51,23 @@ class TestRoundTrips:
 
     def test_defaults_are_applied(self):
         scen = scenario.scenario_from_dict(minimal_dict())
-        assert scen.gamma_mode == "optimized"
         assert scen.gamma is None
         assert scen.seed == 0
-        assert scen.snr is None
+        assert scen.fit_tolerance == scenario.DEFAULT_FIT_TOLERANCE == 0.05
+        assert scen.snr == scen.snr_grid[0] == 10.0
         assert scen.mc_samples is None
         assert scen.n_list == scenario.DEFAULT_N_LIST
         assert scen.path_length == scenario.DEFAULT_PATH_LENGTH
         assert scen.segment_length == scenario.DEFAULT_SEGMENT_LENGTH
+
+    def test_minimal_scenario_dumps_its_resolved_defaults(self):
+        scen = scenario.scenario_from_dict(minimal_dict())
+        out = scenario.scenario_to_dict(scen)
+        assert out["snr"] == out["snr_grid"][0] == 10.0
+        assert out["tolerances"] == {"fit": 0.05}
+        assert out["gamma_mode"] == "optimized"
+        assert "mc_samples" not in out
+        assert scenario.scenario_from_dict(out) == scen
 
 
 class TestGridExpansion:
@@ -143,8 +152,9 @@ class TestValidationMessages:
 
     def test_gamma_mode_accepts_number_or_optimized(self):
         scen = scenario.scenario_from_dict(minimal_dict(gamma_mode=0.5))
-        assert scen.gamma_mode == 0.5
         assert scen.gamma == 0.5
+        scen = scenario.scenario_from_dict(minimal_dict(gamma_mode="optimized"))
+        assert scen.gamma is None
         with pytest.raises(ScenarioError):
             scenario.scenario_from_dict(minimal_dict(gamma_mode="best"))
         with pytest.raises(ScenarioError):
@@ -162,9 +172,9 @@ class TestScenarioObject:
 
     def test_tolerance_accessor(self):
         scen = scenario.scenario_from_dict(minimal_dict(tolerances={"fit": 0.1}))
-        assert scen.tolerance("fit", 0.05) == 0.1
+        assert scen.fit_tolerance == 0.1
         default = scenario.scenario_from_dict(minimal_dict())
-        assert default.tolerance("fit", 0.05) == 0.05
+        assert default.fit_tolerance == 0.05
 
     def test_trig_spectrum_parses_to_model(self):
         data = minimal_dict()
@@ -193,4 +203,4 @@ class TestScenarioObject:
 
     def test_shipped_gamma_mode_sqrt_e(self):
         scen = scenario.load_scenario(SCENARIO_DIR / "two_tap_fourpoint.json")
-        assert scen.gamma_mode == pytest.approx(math.sqrt(math.e), abs=1e-12)
+        assert scen.gamma == pytest.approx(math.sqrt(math.e), abs=1e-12)

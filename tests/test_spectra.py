@@ -208,6 +208,27 @@ class TestValidation:
             spectra.SpectralDistribution(pieces=(
                 spectra.Piece(-0.5, 0.5, spectra.TrigPolyDensity((0.75, 1.0, 0.75))),))
 
+    def test_narrow_negative_dip_between_samples_rejected(self):
+        # 1 + (1 + d) cos 2 pi (lam - lam0) dips to -d = -1e-7, 100 times the
+        # rounding floor, midway between two points of a 4097-point grid on
+        # [-1/2, 1/2], where a grid reads about +1.9e-7
+        d, lam_min = 1e-7, 0.5 / 4096
+        g1 = (1 + d) / 2 * np.exp(-2j * np.pi * (lam_min - 0.5))
+        dens = spectra.TrigPolyDensity((np.conj(g1), 1.0, g1))
+        assert float(np.min(dens(np.linspace(-0.5, 0.5, 4097)))) > 1e-7
+        assert dens.min_value(-0.5, 0.5) == pytest.approx(-d, abs=1e-15)
+        with pytest.raises(ValueError, match="negative"):
+            spectra.SpectralDistribution(pieces=(spectra.Piece(-0.5, 0.5, dens),))
+
+    def test_min_value_never_above_a_dense_grid(self, rng):
+        for _ in range(200):
+            k = int(rng.integers(1, 5))
+            g = rng.standard_normal(2 * k + 1) + 1j * rng.standard_normal(2 * k + 1)
+            dens = spectra.TrigPolyDensity(tuple((g + np.conj(g[::-1])) / 2))
+            lo, hi = np.sort(rng.uniform(-0.5, 0.5, 2))
+            dense = float(np.min(dens(np.linspace(lo, hi, 20001))))
+            assert dens.min_value(lo, hi) <= dense + 1e-12
+
     def test_non_hermitian_coefficients_rejected(self):
         # g = (0, 1, i) would evaluate to 1 - sin(2 pi lam) while its
         # autocovariances, r(-1) = i and r(1) = 0, belong to no real density
