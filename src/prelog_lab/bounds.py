@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
+import scipy.special
 
 from . import fading, spectra
 from .errors import NumericalError
@@ -66,11 +66,32 @@ def coherent_term(snr, gamma, tail):
 
 
 def penalty_spectral(spectrum, snr):
-    """integral over [-1/2, 1/2] of ln(1 + snr * F'(lam)).
+    """integral over [-1/2, 1/2] of ln(1 + snr * F'(lam)), in closed form.
 
-    Constant (order-0) pieces integrate in closed form; higher-order
-    trigonometric pieces use adaptive quadrature with absolute tolerance 1e-9.
-    Point masses have no density and contribute nothing.
+    Point masses have no density and contribute nothing; an order-0 piece c
+    on [lo, hi] gives (hi - lo) ln(1 + snr c).  For a trigonometric piece
+    sum_m g_m z^m (m = -K..K, z = exp(i 2 pi lam)), 1 + snr p(lam) is
+    |Q(z)| on the unit circle, where Q has the coefficients c = snr g with 1
+    added at m = 0, degree 2K and roots z_j.  So the integral is
+    (hi - lo) ln|c_K| + sum_j A(z_j), with A(z) the integral of
+    ln|exp(i 2 pi lam) - z| over [lo, hi]:
+
+    - on the full circle, ln max(1, |z|) by Jensen's formula, and the whole
+      integral is the Mahler measure of Q;
+    - on an arc, with w = 1/z for |z| > 1 and w = conj(z) otherwise,
+      (hi - lo) ln max(1, |z|) - [Im Li2(w exp(i 2 pi lam))]_lo^hi / (2 pi),
+      where Li2(u) = scipy.special.spence(1 - u).
+
+    Measured against 20- to 40-digit mpmath quadrature: within 1e-14 for
+    densities bounded away from zero, through snr 1e16, and within 1e-10
+    through snr 1e12 for densities with zeros.  Past 1e12 the double
+    coefficients set the error: where the density has a zero, |Q| dips to 1
+    while the rounding of snr g is ~eps * snr, and the roots of a double
+    zero, ~1/sqrt(snr) off the circle, move by ~eps * sqrt(snr).  The
+    measured error there is up to 5e-9 at 1e14 and 1e-9 at 1e16.  A density
+    may dip below zero by rounding, to spectra's floor of -1e-9; where
+    snr p < -1 there, the integrand is ln|1 + snr p|, not the ln 1 = 0 of a
+    clamped density.
     """
     _check_snr(snr)
     total = 0.0
@@ -78,12 +99,20 @@ def penalty_spectral(spectrum, snr):
         dens = p.density
         if dens.order == 0:
             total += (p.hi - p.lo) * math.log1p(snr * dens.coeffs[0].real)
-        else:
-            # clamp rounding noise at density zeros: snr * (-1e-17) matters at 1e16
-            val, _ = scipy.integrate.quad(
-                lambda lam: math.log1p(snr * max(float(dens(lam)), 0.0)),
-                p.lo, p.hi, epsabs=1e-9, limit=200)
-            total += val
+            continue
+        c = snr * np.asarray(dens.coeffs, dtype=complex)
+        c[dens.order] += 1.0
+        roots = np.polynomial.polynomial.polyroots(c)
+        lead = abs(c[np.flatnonzero(c)[-1]])  # polyroots drops zero top coefficients
+        outside = np.abs(roots) > 1.0
+        jensen = math.log(lead) + float(np.sum(np.log(np.abs(roots[outside]))))
+        total += (p.hi - p.lo) * jensen
+        if p.hi - p.lo < 1.0:  # on the full circle the arc terms cancel
+            w = np.conj(roots)
+            w[outside] = 1.0 / roots[outside]
+            ends = np.exp(2j * np.pi * np.array([p.lo, p.hi]))
+            li2 = scipy.special.spence(1.0 - np.multiply.outer(w, ends))
+            total -= float(np.sum(li2[:, 1].imag - li2[:, 0].imag)) / (2.0 * math.pi)
     return total
 
 

@@ -66,15 +66,19 @@ def run_mi(scen):
     if scen.mc_samples is None:
         raise scenario.ScenarioError("mi needs mc_samples in the scenario")
     model = scen.model
+    snrs = np.asarray(scen.snr_grid, dtype=float)
+    gammas = np.full(snrs.shape, 1.0 if scen.gamma is None else scen.gamma)
+    high = snrs > 1
+    if scen.gamma is None and high.any():
+        # optimize_gamma needs ln snr > 0; below that Γ = 1, its fallback candidate
+        gammas[high] = bounds.optimize_gamma(model, snrs[high])
+    reports = bounds.capacity_lower_bound(model, snrs, gammas)
     rows = []
-    for i, snr in enumerate(scen.snr_grid):
+    for i, (snr, report) in enumerate(zip(scen.snr_grid, reports)):
         est = mcsim.estimate_coherent_mi(model, snr, scen.mc_samples,
                                          [scen.seed, i])
-        # optimize_gamma needs ln snr > 0; below that Γ = 1, its fallback candidate
-        gamma = 1.0 if scen.gamma is None and snr <= 1 else scen.gamma
-        analytic = bounds.capacity_lower_bound(model, snr, gamma).coherent
-        margin = est.value - analytic
-        rows.append([snr, est.value, est.standard_error, analytic, margin,
+        margin = est.value - report.coherent
+        rows.append([snr, est.value, est.standard_error, report.coherent, margin,
                      margin >= -3.0 * est.standard_error])
     header = ["snr", "mi_estimate_nats", "se_nats", "analytic_bound_nats",
               "margin_nats", "pass"]

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.signal
 import scipy.spatial
 from scipy.special import digamma
 
@@ -184,6 +183,8 @@ def empirical_spectrum(values, segment_length):
         raise ValueError("segment length must be a power of two")
     if len(values) < 8 * seg:
         raise ValueError("path must cover at least 8 segments")
+    import scipy.signal  # here, not at the top: it loads scipy.stats and scipy.integrate
+
     x = values - values.mean()
     freqs, dens = scipy.signal.welch(x, window="hann", nperseg=seg,
                                      noverlap=seg // 2, detrend=False,

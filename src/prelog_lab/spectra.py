@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 MASS_TOL = 1e-12
 _DENSITY_FLOOR = -1e-9  # tolerance for tiny negative rounding in derived densities
@@ -252,7 +251,9 @@ def toeplitz_covariance(spectrum, n):
     if n < 1:
         raise ValueError("matrix order must be at least 1")
     r = autocovariances(spectrum, np.arange(n))
-    return scipy.linalg.toeplitz(r, np.conj(r))
+    lag = np.subtract.outer(np.arange(n), np.arange(n))
+    k = r[np.abs(lag)]
+    return np.where(lag >= 0, k, np.conj(k))  # autocov(-m) = conj(autocov(m))
 
 
 def cumulative(spectrum, lam):

@@ -1,5 +1,9 @@
 import math
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -20,6 +24,43 @@ def quadrature_penalty(spectrum, snr):
             p.lo, p.hi, epsabs=1e-11, limit=400)
         total += val
     return total
+
+
+def fir_density(taps):
+    return fading.fir_model(taps).spectrum.pieces[0].density
+
+
+def arc_spectrum(density, lo, hi):
+    """density on [lo, hi] alone; a point mass, which has no penalty, makes up
+    the unit total mass."""
+    return spectra.SpectralDistribution(
+        pieces=(spectra.Piece(lo, hi, density),),
+        point_masses=((0.0, max(1.0 - density.mass(lo, hi), 0.0)),))
+
+
+def mpmath_penalty(density, lo, hi, snr, splits=()):
+    """Independent oracle: 20-digit tanh-sinh quadrature of ln(1 + snr p) on
+    [lo, hi] with p evaluated from the double coefficients, split where p has
+    a zero so that its dip of width ~1/sqrt(snr) lies at a node cluster."""
+    mpmath = pytest.importorskip("mpmath")
+    k = density.order
+    g = [mpmath.mpc(c.real, c.imag) for c in map(complex, density.coeffs)]
+    with mpmath.workdps(20):
+        def integrand(lam):
+            p = mpmath.re(sum(gm * mpmath.expj(2 * mpmath.pi * (m - k) * lam)
+                              for m, gm in enumerate(g)))
+            return mpmath.log(1 + snr * max(p, 0))
+        return float(mpmath.quad(integrand, [lo, *splits, hi]))
+
+
+# the measured domain of penalty_spectral: near a zero of the density the
+# coefficients of 1 + snr p carry a rounding error ~eps * snr
+ROOTS_TOL = {1e2: 1e-10, 1e4: 1e-10, 1e8: 1e-10, 1e12: 1e-10, 1e14: 5e-9, 1e16: 1e-9}
+
+THREE_TAP = fir_density([1.0, 0.6 - 0.3j, -0.4j])
+# complex order 2, zero at 0.15 and at 0.35
+TWO_ZEROS = fir_density(np.convolve([1.0, -np.exp(2j * np.pi * 0.15)],
+                                    [1.0, -np.exp(2j * np.pi * 0.35)]))
 
 
 def eig_logdet(spectrum, snr, n):
@@ -91,6 +132,56 @@ class TestPenaltySpectral:
         f = random_pc_spectrum(rng, with_masses=True)
         vals = [bounds.penalty_spectral(f, s) for s in (1.0, 5.0, 50.0, 1e4, 1e8)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
+
+
+class TestPenaltySpectralRoots:
+    @pytest.mark.parametrize("snr", sorted(ROOTS_TOL))
+    def test_two_tap_closed_form(self, snr):
+        # p = 1 + cos(2 pi lam): the integral is ln((1 + s + sqrt(1 + 2 s)) / 2)
+        got = bounds.penalty_spectral(fading.fir_model([1.0, 1.0]).spectrum, snr)
+        want = math.log((1.0 + snr + math.sqrt(1.0 + 2.0 * snr)) / 2.0)
+        assert got == pytest.approx(want, rel=0, abs=ROOTS_TOL[snr])
+
+    @pytest.mark.parametrize("density, lo, hi, splits", [
+        (THREE_TAP, -0.5, 0.5, ()),
+        (THREE_TAP, -0.3, 0.45, ()),
+        (THREE_TAP, 0.1, 0.5, ()),
+        (TWO_ZEROS, -0.2, 0.35, (0.15,)),
+    ], ids=["full-circle", "arc", "arc-to-half", "complex-zero-inside-and-at-end"])
+    def test_against_mpmath(self, density, lo, hi, splits):
+        spectrum = arc_spectrum(density, lo, hi)
+        for snr, tol in ROOTS_TOL.items():
+            want = mpmath_penalty(density, lo, hi, snr, splits)
+            assert bounds.penalty_spectral(spectrum, snr) == \
+                pytest.approx(want, rel=0, abs=tol), snr
+
+    def test_rounding_below_zero_gives_log_modulus(self):
+        # p = (1 + cos)/2 - 1e-10 passes the -1e-9 density floor; with
+        # 1 + snr p = A + B cos and A < B, the integral of ln|A + B cos| is ln(B/2)
+        density = spectra.TrigPolyDensity((0.25, 0.5 - 1e-10, 0.25))
+        spectrum = arc_spectrum(density, -0.5, 0.5)
+        for snr in (1e12, 1e16):
+            assert bounds.penalty_spectral(spectrum, snr) == \
+                pytest.approx(math.log(snr / 4.0), rel=0, abs=1e-12)
+
+    def test_zero_top_coefficients(self):
+        # g_2 = g_-2 = 0: a root of Q at 0 and a lower degree, same integral
+        order_one = fir_density([1.0, 0.5j])
+        padded = spectra.TrigPolyDensity((0.0, *order_one.coeffs, 0.0))
+        for lo, hi in ((-0.5, 0.5), (-0.3, 0.45)):
+            want = bounds.penalty_spectral(arc_spectrum(order_one, lo, hi), 1e4)
+            got = bounds.penalty_spectral(arc_spectrum(padded, lo, hi), 1e4)
+            assert got == pytest.approx(want, rel=0, abs=1e-13)
+
+    def test_import_leaves_out_quadrature(self):
+        root = pathlib.Path(__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, prelog_lab.bounds; print('scipy.integrate' in sys.modules)"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestPenaltyLogdet:
@@ -258,7 +349,9 @@ class TestOptimizeGamma:
             bounds.optimize_gamma(fading.gaussian_model(spectra.white()), 1.0)
 
     # (snr, gamma repr, bound repr) written by the per-point scalar search;
-    # tests/golden covers neither the Rice tail nor the empirical 1e6-draw tail
+    # tests/golden covers neither the Rice tail nor the empirical 1e6-draw tail.
+    # The empirical bounds at 1e6 and 1e12 are within 4e-16 of coherent minus
+    # the 40-digit penalty ln((A + sqrt(A^2 - B^2))/2), 1 + snr p = A + B cos.
     @pytest.mark.parametrize("model, pins", [
         (fading.gaussian_model(spectra.flat_band(0.25), d=0.7),
          [(1e2, "0.7250558261462835", "-0.5223350194117291"),
@@ -266,8 +359,8 @@ class TestOptimizeGamma:
           (1e12, "0.2602378883205036", "8.800461448189594")]),
         (fading.fir_model([1.0, 0.5], fading.FOUR_POINT_PHASE),
          [(1e2, "0.9999999999995302", "-1.6940849458190534"),
-          (1e6, "0.4472135954995874", "-2.386296027785944"),
-          (1e12, "0.4472135954995874", "-2.3862943611233014")]),
+          (1e6, "0.4472135954995874", "-2.3862960277859013"),
+          (1e12, "0.4472135954995874", "-2.386294361123216")]),
     ], ids=["rice", "empirical"])
     def test_pinned_optimum(self, model, pins):
         for snr, gamma, bound in pins:

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 import prelog_lab
@@ -179,6 +180,32 @@ class TestSzegoCommand:
         _, rows = parse(out)
         assert all(r[4] == "point-masses-excluded-from-integral" for r in rows)
 
+    @pytest.mark.parametrize("taps, snr", [
+        ([1.0, 1.0], 1e2),
+        ([1.0, 0.6 - 0.3j, -0.4j], 1e2),
+        ([1.0, 0.6 - 0.3j, -0.4j], 1e6),
+    ], ids=["two-tap", "three-tap", "three-tap-1e6"])
+    def test_fir_gap_meets_the_strong_szego_constant(self, tmp_path, capsys, taps, snr):
+        """n * gap -> E = -sum_ij ln(1 - w_i conj(w_j)) for a FIR spectrum, with
+        w = 1/z over the roots z of 1 + snr p outside the unit circle (strong
+        Szego); the rate holds for smooth spectra only, so band spectra, whose
+        jumps add a (ln n)/n term, are not checked here."""
+        model = {"kind": "fir", "mean": [0.0, 0.0], "innovation": "complex_gaussian",
+                 "taps": [[complex(t).real, complex(t).imag] for t in taps]}
+        orders = [64, 128, 256]
+        path = write_scenario(tmp_path, model=model, snr=snr, n_list=orders)
+        density = scenario.load_scenario(path).model.spectrum.pieces[0].density
+        c = snr * np.asarray(density.coeffs, dtype=complex)
+        c[density.order] += 1.0
+        z = np.polynomial.polynomial.polyroots(c)
+        w = 1.0 / z[np.abs(z) > 1.0]
+        constant = -np.sum(np.log(1.0 - np.multiply.outer(w, np.conj(w)))).real
+        code, out, _ = run(capsys, ["szego", "--scenario", path])
+        assert code == 0
+        _, rows = parse(out)
+        for n, row in zip(orders, rows):
+            assert n * float(row[3]) == pytest.approx(constant, rel=0, abs=1e-6), n
+
     def test_precision_limit_exits_one(self, tmp_path, capsys):
         band = {"kind": "gaussian",
                 "spectrum": {"pieces": [{"lo": -0.25, "hi": 0.25,
@@ -207,6 +234,22 @@ class TestMiCommand:
         assert float(row[4]) == pytest.approx(float(row[1]) - analytic,
                                               abs=1e-10)
         assert row[5] == "true"
+
+    def test_one_bound_call_for_the_grid(self, tmp_path, capsys, monkeypatch):
+        # optimized thresholds for snr > 1, and Γ = 1 below, where ln snr <= 0
+        path = write_scenario(tmp_path, snr_grid=[0.5, 10.0, 100.0], mc_samples=10000)
+        model = scenario.load_scenario(path).model
+        want = [bounds.capacity_lower_bound(model, 0.5, 1.0).coherent,
+                bounds.capacity_lower_bound(model, 10.0).coherent,
+                bounds.capacity_lower_bound(model, 100.0).coherent]
+        calls = []
+        grid_bound = bounds.capacity_lower_bound
+        monkeypatch.setattr(bounds, "capacity_lower_bound",
+                            lambda *args: calls.append(args) or grid_bound(*args))
+        code, out, _ = run(capsys, ["mi", "--scenario", path])
+        assert code == 0 and len(calls) == 1
+        _, rows = parse(out)
+        assert [row[3] for row in rows] == [cli._fmt(v) for v in want]
 
     def test_seed_override_moves_mi_but_not_bound(self, tmp_path, capsys):
         path = write_scenario(tmp_path, snr_grid=[10.0], mc_samples=10000)

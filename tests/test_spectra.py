@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.linalg
 
 from prelog_lab import spectra
 
@@ -128,6 +129,8 @@ class TestToeplitzCovariance:
             for k in range(n):
                 assert abs(cov[j, k]
                            - spectra.autocovariance(f, j - k)) < 1e-12
+        r = spectra.autocovariances(f, np.arange(n))
+        assert np.array_equal(cov, scipy.linalg.toeplitz(r, np.conj(r)))
 
     def test_psd_and_validate(self, rng):
         for _ in range(6):
