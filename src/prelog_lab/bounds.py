@@ -32,17 +32,18 @@ class BoundReport:
     tail: float  # P(|H1| >= gamma)
     coherent: float
     penalty_spectral: float
-    bound: float
 
     def __post_init__(self):
-        values = (self.snr, self.gamma, self.tail, self.coherent,
-                  self.penalty_spectral, self.bound)
+        values = (self.snr, self.gamma, self.tail, self.coherent, self.penalty_spectral)
         if not all(map(math.isfinite, values)):
             raise ValueError(f"report fields must be finite: {self}")
-        if abs(self.bound - (self.coherent - self.penalty_spectral)) > 1e-12:
-            raise ValueError("bound must equal coherent - penalty_spectral")
         if self.penalty_spectral < 0:
             raise ValueError("penalty must be nonnegative")
+
+    @property
+    def bound(self):
+        """coherent - penalty_spectral, the raw (possibly negative) bound."""
+        return self.coherent - self.penalty_spectral
 
     @property
     def ratio(self):
@@ -204,10 +205,9 @@ def capacity_lower_bound(model, snr, gamma=None):
     tails = fading.marginal_tail(model, gammas)
     reports = []
     for s, g, tail in zip(snrs.tolist(), gammas.tolist(), tails.tolist()):
-        coherent = coherent_term(s, g, tail)
-        penalty = penalty_spectral(model.spectrum, s)
-        reports.append(BoundReport(snr=s, gamma=g, tail=tail, coherent=coherent,
-                                   penalty_spectral=penalty, bound=coherent - penalty))
+        reports.append(BoundReport(snr=s, gamma=g, tail=tail,
+                                   coherent=coherent_term(s, g, tail),
+                                   penalty_spectral=penalty_spectral(model.spectrum, s)))
     return reports[0] if np.ndim(snr) == 0 else reports
 
 

@@ -170,7 +170,13 @@ def simulate_path(model, n, seed):
 
 @functools.lru_cache(maxsize=8)
 def _marginal_samples(model):
-    """Sorted |H1| draws (N = 1e6) for models without a closed-form tail."""
+    """Sorted, equally weighted support of |H1| for laws without a closed-form
+    tail: the 4^J atoms |d + sum_j a_j w_j|, w in {1, i, -1, -i}^J, of a
+    four-point law with 4^J <= 1e6, else 1e6 draws at a fixed seed."""
+    taps = np.asarray(model.taps)
+    if model.innovation == FOUR_POINT_PHASE and 4**taps.size <= _EMPIRICAL_N:
+        w = _FOUR_POINTS[np.indices((4,) * taps.size).reshape(taps.size, -1).T]
+        return np.sort(np.abs(model.mean + w @ taps))
     rng = np.random.default_rng([_EMPIRICAL_SEED])
     return np.sort(np.abs(draw_marginal(model, _EMPIRICAL_N, rng)))
 
@@ -182,14 +188,17 @@ def marginal_tail(model, gamma):
     Exact for:
     - Gaussian marginals, Rayleigh or Rice (filtered complex Gaussian
       innovations included, since a unit-power filter preserves the law);
-    - single-tap four-point phase, a step at each of the four atoms;
     - unit modulus made of two circles, one tap with any mean or two taps
       with zero mean: |H1| = |r1 + r2 e^{i psi}| with psi uniform, so the
       tail is arccos((gamma^2 - r1^2 - r2^2) / (2 r1 r2)) / pi, clipped to
-      [0, 1], or a step at r2 when r1 = 0.
-    Four-point laws with two or more taps, and unit-modulus laws with three
-    or more taps or with two taps and a mean, read an empirical tail from
-    1e6 cached draws, whose standard error is at most 5e-4.
+      [0, 1], or a step at r2 when r1 = 0;
+    - four-point phase with up to 9 taps: k / 4^J for the k of its 4^J
+      equally likely atoms at or above gamma.
+    Unit-modulus laws of three or more circles and four-point laws with 10
+    or more taps read an empirical tail from 1e6 cached draws, whose
+    standard error is at most 5e-4.  Tables count an atom within 1e-12 below
+    gamma (|(1 + i)/sqrt(2)| = 1 may round an ulp low), so optimize_gamma
+    may return a threshold up to ~1e-12 above an atom.
     """
     g = np.asarray(gamma, dtype=float)
     if (g < 0).any():
@@ -201,9 +210,6 @@ def marginal_tail(model, gamma):
             # scipy.stats.rice.sf(g, sqrt(2)|d|, scale=sqrt(1/2)), by its own formula
             tail = 1.0 - scipy.special.chndtr(np.square(g / np.sqrt(0.5)), 2,
                                               np.square(np.sqrt(2.0) * abs(model.mean)))
-    elif len(model.taps) == 1 and model.innovation == FOUR_POINT_PHASE:
-        atoms = np.abs(model.mean + model.taps[0] * _FOUR_POINTS)
-        tail = np.mean(atoms >= g[..., None] - 1e-12, axis=-1)
     elif model.innovation == UNIT_MODULUS and len(model.taps) + (model.mean != 0) <= 2:
         # the moduli of the two terms of H1; a zero mean is the r1 = 0 of one tap
         r1, r2 = sorted(abs(c) for c in (model.mean, *model.taps))[-2:]
@@ -214,8 +220,8 @@ def marginal_tail(model, gamma):
             tail = np.arccos(np.clip(cos_psi, -1.0, 1.0)) / np.pi
     else:
         with _TABLE_LOCK:  # concurrent first calls for one model build one table
-            samples = _marginal_samples(model)
-        tail = (samples.size - np.searchsorted(samples, g, side="left")) / samples.size
+            support = _marginal_samples(model)
+        tail = (support.size - np.searchsorted(support, g - 1e-12)) / support.size
     tail = np.where(g == 0, 1.0, tail)
     return float(tail) if tail.ndim == 0 else tail
 

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.spatial
 from scipy.special import digamma
 
 from . import fading
@@ -53,21 +52,14 @@ def sample_inputs(n, peak, seed):
     return radius * np.exp(2j * np.pi * rng.random(n))
 
 
-def simulate_channel(x, h, noise_variance, seed):
-    """Y_k = H_k X_k + Z_k with fresh circularly-symmetric Gaussian noise.
-
-    noise_variance = 0 is accepted as a test mode and returns H*X exactly.
-    """
+def simulate_channel(x, h, seed):
+    """Y_k = H_k X_k + Z_k with fresh unit-variance circularly-symmetric
+    Gaussian noise: the MI depends on the channel only through the snr."""
     if len(x) != len(h):
         raise ValueError("input and fading sequences must have equal length")
-    if noise_variance < 0:
-        raise ValueError("noise variance must be nonnegative")
-    y = h * x
-    if noise_variance > 0:
-        rng = np.random.default_rng(seed)
-        z = rng.standard_normal(len(x)) + 1j * rng.standard_normal(len(x))
-        y = y + math.sqrt(noise_variance / 2.0) * z
-    return y
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal(len(x)) + 1j * rng.standard_normal(len(x))
+    return h * x + math.sqrt(0.5) * z
 
 
 def _mean_log_distance(eps):
@@ -85,6 +77,8 @@ def _mean_log_distance(eps):
 
 def _kl_entropy(samples, k):
     """Kozachenko-Leonenko estimate of differential entropy in the plane."""
+    import scipy.spatial  # here, not at the top: it loads scipy.linalg, and no CLI job uses it
+
     samples = np.asarray(samples)
     pts = np.column_stack([samples.real, samples.imag])
     n = len(pts)
@@ -160,7 +154,7 @@ def estimate_coherent_mi(model, snr, n_samples, seed):
         rng = np.random.default_rng(base + [m])
         h = fading.draw_marginal(model, 1, rng)[0]
         x = sample_inputs(per, peak, rng)
-        y = simulate_channel(x, np.full(per, h), 1.0, rng)
+        y = simulate_channel(x, np.full(per, h), rng)
         power = y.real * y.real + y.imag * y.imag
         return _kl_entropy_1d(power, k=4) + math.log(math.pi)
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import pathlib
@@ -61,6 +62,12 @@ THREE_TAP = fir_density([1.0, 0.6 - 0.3j, -0.4j])
 # complex order 2, zero at 0.15 and at 0.35
 TWO_ZEROS = fir_density(np.convolve([1.0, -np.exp(2j * np.pi * 0.15)],
                                     [1.0, -np.exp(2j * np.pi * 0.35)]))
+
+
+FOUR_POINT = fading.fir_model([1.0, 0.5], fading.FOUR_POINT_PHASE)
+FOUR_POINT_PINS = [(1e2, "1.0", "-1.6945896696443872"),
+                   (1e6, "0.44721359550068507", "-2.3862960277809915"),
+                   (1e12, "0.44721359550068507", "-2.3862943611183063")]
 
 
 def eig_logdet(spectrum, snr, n):
@@ -174,14 +181,17 @@ class TestPenaltySpectralRoots:
             assert got == pytest.approx(want, rel=0, abs=1e-13)
 
     def test_import_leaves_out_quadrature(self):
+        # no CLI job needs these: the k-NN tree, dense linear algebra,
+        # quadrature and scipy.stats are imported where they are used
         root = pathlib.Path(__file__).resolve().parent.parent
         env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        heavy = ["scipy.spatial", "scipy.linalg", "scipy.integrate", "scipy.stats"]
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import sys, prelog_lab.bounds; print('scipy.integrate' in sys.modules)"],
+             f"import sys, prelog_lab.cli; print([m for m in {heavy!r} if m in sys.modules])"],
             env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "[]"
 
 
 class TestPenaltyLogdet:
@@ -276,11 +286,6 @@ class TestCapacityLowerBound:
         rep = bounds.capacity_lower_bound(model, 2.0, 1.0)
         assert rep.bound < 0
 
-    def test_report_invariant(self):
-        with pytest.raises(ValueError):
-            bounds.BoundReport(snr=10.0, gamma=1.0, tail=0.5, coherent=1.0,
-                               penalty_spectral=0.5, bound=0.7)
-
     def test_flat_band_ratio_near_high_snr_plateau(self):
         model = fading.gaussian_model(spectra.flat_band(0.25))
         rep = bounds.capacity_lower_bound(model, 1e12, 0.2)
@@ -349,28 +354,38 @@ class TestOptimizeGamma:
             bounds.optimize_gamma(fading.gaussian_model(spectra.white()), 1.0)
 
     # (snr, gamma repr, bound repr) written by the per-point scalar search;
-    # tests/golden covers neither the Rice tail nor the empirical 1e6-draw tail.
-    # The empirical bounds at 1e6 and 1e12 are within 4e-16 of coherent minus
-    # the 40-digit penalty ln((A + sqrt(A^2 - B^2))/2), 1 + snr p = A + B cos.
+    # tests/golden covers neither the Rice tail nor a four-point tail below
+    # its top atom.  The four-point law has the 16 atoms 1/sqrt(5) (x4), 1 (x8)
+    # and 3/sqrt(5) (x4); test_four_point_pins_are_atom_exact checks its pins.
     @pytest.mark.parametrize("model, pins", [
         (fading.gaussian_model(spectra.flat_band(0.25), d=0.7),
          [(1e2, "0.7250558261462835", "-0.5223350194117291"),
           (1e6, "0.38414031795439485", "2.6986969541669357"),
           (1e12, "0.2602378883205036", "8.800461448189594")]),
-        (fading.fir_model([1.0, 0.5], fading.FOUR_POINT_PHASE),
-         [(1e2, "0.9999999999995302", "-1.6940849458190534"),
-          (1e6, "0.4472135954995874", "-2.3862960277859013"),
-          (1e12, "0.4472135954995874", "-2.386294361123216")]),
-    ], ids=["rice", "empirical"])
+        (FOUR_POINT, FOUR_POINT_PINS),
+    ], ids=["rice", "four-point"])
     def test_pinned_optimum(self, model, pins):
         for snr, gamma, bound in pins:
             rep = bounds.capacity_lower_bound(model, snr)
             assert (repr(rep.gamma), repr(rep.bound)) == (gamma, bound)
 
+    def test_four_point_pins_are_atom_exact(self):
+        # brute force over the 16 atoms: the pinned tail, and the coherent term
+        # against max over atoms a of P(|H1| >= a) (ln snr - 1 + 2 ln a)
+        taps = [complex(a) for a in FOUR_POINT.taps]
+        atoms = [abs(sum(a * w for a, w in zip(taps, ws)))
+                 for ws in itertools.product((1, 1j, -1, -1j), repeat=2)]
+        for snr, gamma, _ in FOUR_POINT_PINS:
+            rep = bounds.capacity_lower_bound(FOUR_POINT, snr)
+            assert rep.tail == sum(a >= float(gamma) - 1e-12 for a in atoms) / 16
+            best = max(sum(b >= a for b in atoms) / 16 * (math.log(snr) - 1 + 2 * math.log(a))
+                       for a in atoms)
+            assert abs(rep.coherent - best) <= 4e-12
+
 
 SHIPPED_GRID = [1e4, 1e6, 1e8, 1e10, 1e12, 1e14, 1e16]
 
-# one model per tail path of fading.marginal_tail
+# one model per tail law of fading.marginal_tail
 TAIL_PATHS = {
     "rayleigh": fading.gaussian_model(spectra.white()),
     "rice": fading.gaussian_model(spectra.flat_band(0.25), d=0.7),
@@ -378,7 +393,8 @@ TAIL_PATHS = {
     "four-point-single-tap": fading.fir_model([1.0], fading.FOUR_POINT_PHASE, d=0.3),
     "unit-modulus-step": fading.fir_model([1.0], fading.UNIT_MODULUS),
     "unit-modulus-arccos": fading.fir_model([1.0, 0.5], fading.UNIT_MODULUS),
-    "empirical": fading.fir_model([1.0, 0.5], fading.FOUR_POINT_PHASE),
+    "unit-modulus-draws": fading.fir_model([1.0, 0.6, 0.3j], fading.UNIT_MODULUS),
+    "four-point": FOUR_POINT,
 }
 
 
@@ -436,9 +452,8 @@ class TestGridForm:
         assert calls == []
 
     def test_report_rejects_non_finite_fields(self):
-        good = dict(snr=10.0, gamma=1.0, tail=0.5, coherent=1.0,
-                    penalty_spectral=0.5, bound=0.5)
-        bounds.BoundReport(**good)
+        good = dict(snr=10.0, gamma=1.0, tail=0.5, coherent=1.0, penalty_spectral=0.5)
+        assert bounds.BoundReport(**good).bound == 0.5
         for field in good:
             for bad in (math.nan, math.inf):
                 with pytest.raises(ValueError, match="finite"):

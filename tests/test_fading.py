@@ -1,3 +1,4 @@
+import itertools
 import math
 import threading
 
@@ -7,6 +8,10 @@ import scipy.integrate
 
 from prelog_lab import fading, spectra
 from prelog_lab.errors import UnsupportedModelError
+
+
+# three circles of radii 0.83, 0.50 and 0.25: no closed-form tail, 1e6 draws
+THREE_CIRCLES = [1.0, 0.6, 0.3j]
 
 
 def bartlett_se(spectrum, n, lags=200):
@@ -249,8 +254,41 @@ class TestMarginalTail:
             fading.marginal_tail(fading.gaussian_model(spectra.white()), -0.1)
 
     def test_empirical_tail_deterministic(self):
-        m = fading.fir_model([0.9, 0.5, 0.1], fading.FOUR_POINT_PHASE)
+        m = fading.fir_model(THREE_CIRCLES, fading.UNIT_MODULUS)
         assert fading.marginal_tail(m, 0.8) == fading.marginal_tail(m, 0.8)
+
+    @pytest.mark.parametrize("j", [1, 2, 3, 5, 9])
+    def test_four_point_tail_is_exact_enumeration(self, j, monkeypatch):
+        # J <= 9 only: a 10-tap law reads 1e7 draws (~0.3 GB), too much here
+        rng = np.random.default_rng(j)
+        taps = rng.standard_normal(j) + 1j * rng.standard_normal(j)
+        m = fading.fir_model(taps, fading.FOUR_POINT_PHASE, d=0.4 - 0.3j)
+        monkeypatch.setattr(fading, "draw_marginal", None)  # no draws for the tail
+        assert fading._marginal_samples(m).size == 4**j
+        a, d = [complex(t) for t in m.taps], m.mean
+        brute = np.sort([abs(d + sum(t * w for t, w in zip(a, ws)))
+                         for ws in itertools.product((1, 1j, -1, -1j), repeat=j)])
+        atoms = np.unique(fading._marginal_samples(m))
+        gammas = np.concatenate([atoms, 0.5 * (atoms[1:] + atoms[:-1])])
+        # an atom within 1e-12 below gamma counts
+        counts = brute.size - np.searchsorted(brute, gammas - 1e-12, side="left")
+        assert np.array_equal(fading.marginal_tail(m, gammas), counts / 4**j)
+
+    def test_three_circles_against_phase_integral(self):
+        # the 1e6-draw table against (1/pi) int_0^pi T2(rho(psi), r3, g) dpsi,
+        # rho the modulus of the first two circles at phase difference psi and
+        # T2 the two-circle arccos law, by 4096 midpoints
+        m = fading.fir_model(THREE_CIRCLES, fading.UNIT_MODULUS)
+        r1, r2, r3 = np.abs(m.taps)
+        psi = (np.arange(4096) + 0.5) * math.pi / 4096
+        rho = np.sqrt(r1 * r1 + r2 * r2 + 2 * r1 * r2 * np.cos(psi))
+        n = fading._marginal_samples(m).size
+        assert n == 10**6
+        for gamma in np.linspace(0.1, 1.5, 8):
+            cos_phi = (gamma * gamma - rho * rho - r3 * r3) / (2 * rho * r3)
+            want = float(np.mean(np.arccos(np.clip(cos_phi, -1.0, 1.0)))) / math.pi
+            se = math.sqrt(max(want * (1 - want), 1e-12) / n)
+            assert abs(fading.marginal_tail(m, gamma) - want) < 5 * se
 
     def test_array_gamma_matches_scalar_calls(self):
         models = [

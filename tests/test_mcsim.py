@@ -76,24 +76,16 @@ class TestSimulateChannel:
         model = fading.gaussian_model(spectra.white())
         return fading.simulate_path(model, n, seed)
 
-    def test_noiseless_mode_is_exact(self):
-        batch = mcsim.sample_inputs(256, 1.0, 1)
-        path = self._path(256)
-        y = mcsim.simulate_channel(batch, path, 0.0, 5)
-        assert np.array_equal(y, path * batch)
-
     def test_noise_variance_with_silent_input(self):
         n = 10**5
-        y = mcsim.simulate_channel(np.zeros(n, dtype=complex), self._path(n),
-                                   0.25, 5)
-        # |Z|^2 is exponential with mean and sd both 0.25
-        assert np.mean(np.abs(y)**2) == pytest.approx(0.25,
-                                                      abs=4 * 0.25 / math.sqrt(n))
+        y = mcsim.simulate_channel(np.zeros(n, dtype=complex), self._path(n), 5)
+        # |Z|^2 is exponential with mean and sd both 1
+        assert np.mean(np.abs(y)**2) == pytest.approx(1.0, abs=4 / math.sqrt(n))
 
     def test_output_power_budget(self):
         n = 10**5
         batch = mcsim.sample_inputs(n, 1.0, 2)
-        y = mcsim.simulate_channel(batch, self._path(n), 1.0, 5)
+        y = mcsim.simulate_channel(batch, self._path(n), 5)
         # E|Y|^2 = E|H|^2 E|X|^2 + sigma^2 = 0.5 + 1
         power = np.abs(y)**2
         se = np.std(power) / math.sqrt(n)
@@ -102,18 +94,16 @@ class TestSimulateChannel:
     def test_determinism(self):
         batch = mcsim.sample_inputs(256, 1.0, 1)
         path = self._path(256)
-        a = mcsim.simulate_channel(batch, path, 0.5, 5)
-        b = mcsim.simulate_channel(batch, path, 0.5, 5)
-        c = mcsim.simulate_channel(batch, path, 0.5, 6)
+        a = mcsim.simulate_channel(batch, path, 5)
+        b = mcsim.simulate_channel(batch, path, 5)
+        c = mcsim.simulate_channel(batch, path, 6)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_validation(self):
         batch = mcsim.sample_inputs(256, 1.0, 1)
         with pytest.raises(ValueError):
-            mcsim.simulate_channel(batch, self._path(255), 1.0, 5)
-        with pytest.raises(ValueError):
-            mcsim.simulate_channel(batch, self._path(256), -1.0, 5)
+            mcsim.simulate_channel(batch, self._path(255), 5)
 
 
 class TestEstimateEntropy:
