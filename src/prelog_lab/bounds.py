@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special
 
 from . import fading, spectra
 from .errors import NumericalError
@@ -109,6 +108,8 @@ def penalty_spectral(spectrum, snr):
         jensen = math.log(lead) + float(np.sum(np.log(np.abs(roots[outside]))))
         total += (p.hi - p.lo) * jensen
         if p.hi - p.lo < 1.0:  # on the full circle the arc terms cancel
+            import scipy.special  # here, not at the top: only an arc piece needs it
+
             w = np.conj(roots)
             w[outside] = 1.0 / roots[outside]
             ends = np.exp(2j * np.pi * np.array([p.lo, p.hi]))

@@ -17,7 +17,6 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special
 
 from . import spectra
 from .errors import NumericalError, UnsupportedModelError
@@ -113,7 +112,7 @@ def draw_marginal(model, count, rng):
     return model.mean + w.reshape(count, taps.size) @ taps
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=8)
 def _embedding_eigenvalues(spectrum, order):
     """Eigenvalues of the order-point circulant embedding, clipped to >= 0.
 
@@ -121,7 +120,9 @@ def _embedding_eigenvalues(spectrum, order):
     mass is at most a 1e-4 fraction of the total, which bounds the covariance
     error of the sampled path by the same fraction.  Strictly band-limited
     densities never embed exactly PSD at any finite order, so a small clipped
-    mass is accepted instead of demanding min eigenvalue >= 0.
+    mass is accepted instead of demanding min eigenvalue >= 0.  The cache
+    holds 8 entries of at most _EMBED_CAP = 2^20 doubles each, so at most
+    64 MiB, like _marginal_samples' 8 tables of 1e6 doubles.
     """
     half = order // 2
     r = spectra.autocovariances(spectrum, np.arange(half + 1))
@@ -207,6 +208,8 @@ def marginal_tail(model, gamma):
         if model.mean == 0:
             tail = np.exp(-g * g)
         else:
+            import scipy.special  # here, not at the top: only a Rice tail needs it
+
             # scipy.stats.rice.sf(g, sqrt(2)|d|, scale=sqrt(1/2)), by its own formula
             tail = 1.0 - scipy.special.chndtr(np.square(g / np.sqrt(0.5)), 2,
                                               np.square(np.sqrt(2.0) * abs(model.mean)))

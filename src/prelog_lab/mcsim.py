@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma
 
 from . import fading
 from .errors import DegenerateSampleError
@@ -78,6 +77,7 @@ def _mean_log_distance(eps):
 def _kl_entropy(samples, k):
     """Kozachenko-Leonenko estimate of differential entropy in the plane."""
     import scipy.spatial  # here, not at the top: it loads scipy.linalg, and no CLI job uses it
+    from scipy.special import digamma  # here, not at the top: only the entropy estimates use it
 
     samples = np.asarray(samples)
     pts = np.column_stack([samples.real, samples.imag])
@@ -97,6 +97,8 @@ def _kl_entropy_1d(values, k):
     windows.  Both ends are padded with k infinities, which no window can
     pick, so no tree is built and no end point is a special case.
     """
+    from scipy.special import digamma  # here, not at the top: only the entropy estimates use it
+
     x = np.sort(values)
     n = len(x)
     pad = np.full(k, np.inf)

@@ -60,7 +60,7 @@ def _validator():
     schema = json.loads(text)
     cls = jsonschema.validators.validator_for(schema)
     cls.check_schema(schema)
-    return cls(schema, format_checker=jsonschema.FormatChecker())
+    return cls(schema)
 
 
 def _complex_from(value):

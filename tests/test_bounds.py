@@ -1,10 +1,6 @@
 import itertools
 import math
-import os
-import pathlib
 import re
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -179,19 +175,6 @@ class TestPenaltySpectralRoots:
             want = bounds.penalty_spectral(arc_spectrum(order_one, lo, hi), 1e4)
             got = bounds.penalty_spectral(arc_spectrum(padded, lo, hi), 1e4)
             assert got == pytest.approx(want, rel=0, abs=1e-13)
-
-    def test_import_leaves_out_quadrature(self):
-        # no CLI job needs these: the k-NN tree, dense linear algebra,
-        # quadrature and scipy.stats are imported where they are used
-        root = pathlib.Path(__file__).resolve().parent.parent
-        env = {**os.environ, "PYTHONPATH": str(root / "src")}
-        heavy = ["scipy.spatial", "scipy.linalg", "scipy.integrate", "scipy.stats"]
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             f"import sys, prelog_lab.cli; print([m for m in {heavy!r} if m in sys.modules])"],
-            env=env, capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
 
 
 class TestPenaltyLogdet:

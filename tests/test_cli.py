@@ -351,6 +351,54 @@ class TestSerial:
         assert code == 0, err
 
 
+# Runs in a fresh interpreter: imports the CLI, runs the jobs given in argv
+# as command, scenario pairs, and prints the scipy modules loaded after the
+# import and after each job, one JSON list per line.
+LOADED_SCIPY = """
+import contextlib, io, json, sys
+import prelog_lab.cli
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps(scipy_modules()))
+for command, path in zip(sys.argv[1::2], sys.argv[2::2]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert prelog_lab.cli.main([command, "--scenario", path]) == 0, (command, path)
+    print(json.dumps(scipy_modules()))
+"""
+
+
+def loaded_scipy(jobs):
+    """scipy modules after `import prelog_lab.cli`, then after each
+    (command, scenario path) job."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    argv = [arg for job in jobs for arg in job]
+    proc = subprocess.run([sys.executable, "-c", LOADED_SCIPY, *argv],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return [json.loads(line) for line in proc.stdout.splitlines()]
+
+
+class TestImportSet:
+    def test_closed_form_jobs_load_no_scipy(self):
+        # bound, prelog and szego on the shipped models (zero-mean Gaussian
+        # and FIR laws, no arc pieces) use only numpy and jsonschema
+        jobs = [(command, str(path))
+                for path in sorted((ROOT / "scenarios").glob("*.json"))
+                for command in json.loads(path.read_text())["outputs"]
+                if command in ("bound", "prelog", "szego")]
+        assert {pathlib.Path(path).stem for _, path in jobs} == {
+            "flat_band_rayleigh", "mixed_point_mass", "two_tap_fourpoint",
+            "white_rayleigh"}
+        assert loaded_scipy(jobs) == [[]] * (1 + len(jobs))
+
+    def test_mi_loads_scipy_special_only(self):
+        scen = str(ROOT / "scenarios" / "white_rayleigh.json")
+        _, after_mi = loaded_scipy([("mi", scen)])
+        assert "scipy.special" in after_mi
+        heavy = ["scipy.spatial", "scipy.linalg", "scipy.integrate", "scipy.stats"]
+        assert [m for m in heavy if m in after_mi] == []
+
+
 class TestParserReuse:
     # main parses every call with one parser built at import
     def test_bits_does_not_carry_into_the_next_run(self, capsys):

@@ -142,6 +142,11 @@ class TestSimulatePath:
         with pytest.raises(UnsupportedModelError):
             fading.simulate_path(fading.gaussian_model(f), 64, seed=0)
 
+    def test_embedding_cache_is_bounded_by_bytes(self):
+        # each entry holds at most _EMBED_CAP float64 eigenvalues
+        entries = fading._embedding_eigenvalues.cache_info().maxsize
+        assert entries * 8 * fading._EMBED_CAP <= 64 * 2**20
+
     def test_length_validation(self):
         with pytest.raises(ValueError):
             fading.simulate_path(fading.gaussian_model(spectra.white()), 0, seed=0)

@@ -160,6 +160,22 @@ class TestValidationMessages:
         with pytest.raises(ScenarioError):
             scenario.scenario_from_dict(minimal_dict(gamma_mode=-1.0))
 
+    def test_schema_has_no_format_keyword(self):
+        # the validator runs no format checker, so a "format" would check nothing
+        def format_keywords(node, path):
+            if isinstance(node, dict):
+                for key, value in node.items():
+                    if key == "format" and path[-1:] != ("properties",):
+                        yield path
+                    yield from format_keywords(value, path + (key,))
+            elif isinstance(node, list):
+                for i, value in enumerate(node):
+                    yield from format_keywords(value, path + (i,))
+
+        schema = json.loads(pathlib.Path(scenario.__file__).with_name("schema")
+                            .joinpath("scenario.schema.json").read_text())
+        assert list(format_keywords(schema, ())) == []
+
 
 class TestScenarioObject:
     def test_with_seed(self):
