@@ -26,7 +26,7 @@ from .fading import (FadingModel, ZeroMassEstimate, draw_marginal, fir_model,
                      fir_spectrum, gaussian_model, marginal_tail, simulate_path,
                      zero_mass_check)
 from .mcsim import (EntropyEstimate, empirical_spectrum, estimate_coherent_mi,
-                    estimate_entropy, sample_inputs, simulate_channel)
+                    sample_inputs, simulate_channel)
 from .scenario import (Scenario, ScenarioError, load_scenario, save_scenario,
                        scenario_from_dict, scenario_to_dict)
 from .spectra import (HarmonicPartition, Piece, SpectralDistribution,
@@ -52,7 +52,7 @@ __all__ = [
     "zero_mass_check",
     # mcsim
     "EntropyEstimate", "empirical_spectrum", "estimate_coherent_mi",
-    "estimate_entropy", "sample_inputs", "simulate_channel",
+    "sample_inputs", "simulate_channel",
     # scenario
     "Scenario", "ScenarioError", "load_scenario", "save_scenario",
     "scenario_from_dict", "scenario_to_dict",

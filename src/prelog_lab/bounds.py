@@ -58,7 +58,7 @@ def _check_snr(snr):
 def coherent_term(snr, gamma, tail):
     """tail * ln(snr) - tail * (1 - ln gamma^2): the coherent MI lower bound."""
     _check_snr(snr)
-    if gamma <= 0:
+    if not gamma > 0:
         raise ValueError("gamma must be positive (ln gamma^2 is undefined at 0)")
     if not 0.0 <= tail <= 1.0:
         raise ValueError("tail must be a probability")

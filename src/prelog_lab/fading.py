@@ -33,6 +33,7 @@ INNOVATION_LAWS = (COMPLEX_GAUSSIAN, UNIT_MODULUS, FOUR_POINT_PHASE)
 _FOUR_POINTS = np.array([1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j])
 
 _EMPIRICAL_N = 10**6
+_FOUR_POINT_MAX_TAPS = 9  # 4^9 = 262,144 atoms; 4^10 would outgrow the 1e6-draw table
 _EMPIRICAL_SEED = 181_451_339  # fixed: cached marginal CDFs must not depend on callers
 _TABLE_LOCK = threading.Lock()
 _EMBED_CAP = 2**20
@@ -173,9 +174,10 @@ def simulate_path(model, n, seed):
 def _marginal_samples(model):
     """Sorted, equally weighted support of |H1| for laws without a closed-form
     tail: the 4^J atoms |d + sum_j a_j w_j|, w in {1, i, -1, -i}^J, of a
-    four-point law with 4^J <= 1e6, else 1e6 draws at a fixed seed."""
+    four-point law (marginal_tail caps J at 9), else 1e6 draws at a fixed
+    seed for a unit-modulus law of three or more circles."""
     taps = np.asarray(model.taps)
-    if model.innovation == FOUR_POINT_PHASE and 4**taps.size <= _EMPIRICAL_N:
+    if model.innovation == FOUR_POINT_PHASE:
         w = _FOUR_POINTS[np.indices((4,) * taps.size).reshape(taps.size, -1).T]
         return np.sort(np.abs(model.mean + w @ taps))
     rng = np.random.default_rng([_EMPIRICAL_SEED])
@@ -195,14 +197,15 @@ def marginal_tail(model, gamma):
       [0, 1], or a step at r2 when r1 = 0;
     - four-point phase with up to 9 taps: k / 4^J for the k of its 4^J
       equally likely atoms at or above gamma.
-    Unit-modulus laws of three or more circles and four-point laws with 10
-    or more taps read an empirical tail from 1e6 cached draws, whose
-    standard error is at most 5e-4.  Tables count an atom within 1e-12 below
-    gamma (|(1 + i)/sqrt(2)| = 1 may round an ulp low), so optimize_gamma
-    may return a threshold up to ~1e-12 above an atom.
+    Four-point laws with 10 or more taps raise UnsupportedModelError.
+    Unit-modulus laws of three or more circles read an empirical tail from
+    1e6 cached draws, whose standard error is at most 5e-4.  Tables count an
+    atom within 1e-12 below gamma (|(1 + i)/sqrt(2)| = 1 may round an ulp
+    low), so optimize_gamma may return a threshold up to ~1e-12 above an
+    atom.  A negative or NaN gamma raises ValueError.
     """
     g = np.asarray(gamma, dtype=float)
-    if (g < 0).any():
+    if not (g >= 0).all():
         raise ValueError("gamma must be nonnegative")
     if model.kind == GAUSSIAN or model.innovation == COMPLEX_GAUSSIAN:
         if model.mean == 0:
@@ -222,6 +225,10 @@ def marginal_tail(model, gamma):
             cos_psi = (g * g - r1 * r1 - r2 * r2) / (2.0 * r1 * r2)
             tail = np.arccos(np.clip(cos_psi, -1.0, 1.0)) / np.pi
     else:
+        if model.innovation == FOUR_POINT_PHASE and len(model.taps) > _FOUR_POINT_MAX_TAPS:
+            raise UnsupportedModelError(
+                f"four-point phase with {len(model.taps)} taps: exact tails "
+                f"enumerate 4^J atoms for at most {_FOUR_POINT_MAX_TAPS} taps")
         with _TABLE_LOCK:  # concurrent first calls for one model build one table
             support = _marginal_samples(model)
         tail = (support.size - np.searchsorted(support, g - 1e-12)) / support.size
@@ -231,7 +238,7 @@ def marginal_tail(model, gamma):
 
 def zero_mass_check(model, epsilon, n_samples=10**6, seed=0):
     """Empirical P(|H1| < epsilon), certifying continuity of the law at zero."""
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     if n_samples < 10**3:
         raise ValueError("need at least 1000 samples")

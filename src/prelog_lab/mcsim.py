@@ -2,12 +2,11 @@
 
 These routines validate the analytic chain numerically: the peak-limited
 input ensemble (circularly symmetric, |X|^2 uniform on [0, A^2]), the channel
-Y = H X + Z, k-nearest-neighbor differential entropy estimation, the
-stratified estimate of the coherent mutual information I(X1; Y1 | H1), and a
-Welch spectral check of simulated fading paths.  The coherent MI uses the
-circular symmetry of Y given H: h(Y) = h(|Y|^2) + ln pi, with a 1-D k-NN
-estimate on the sorted |Y|^2.  The 2-D estimator in the complex plane remains
-for generic samples.  Everything is a pure function of its seed.
+Y = H X + Z, the stratified estimate of the coherent mutual information
+I(X1; Y1 | H1), and a Welch spectral check of simulated fading paths.  The
+coherent MI uses the circular symmetry of Y given H: h(Y) = h(|Y|^2) + ln pi,
+with a 1-D k-nearest-neighbor entropy estimate on the sorted |Y|^2.
+Everything is a pure function of its seed.
 """
 
 from __future__ import annotations
@@ -21,21 +20,14 @@ from . import fading
 from .errors import DegenerateSampleError
 
 _STRATA = 64
-_FOLDS = 10
 
 
 @dataclass(frozen=True)
 class EntropyEstimate:
     value: float
     standard_error: float
-    sample_count: int
-    neighbor_order: int
 
     def __post_init__(self):
-        if self.sample_count < 100:
-            raise ValueError("entropy estimates need at least 100 samples")
-        if self.neighbor_order < 1:
-            raise ValueError("neighbor order must be at least 1")
         if not self.standard_error > 0:
             raise ValueError("standard error must be positive")
 
@@ -44,7 +36,7 @@ def sample_inputs(n, peak, seed):
     """IID circularly-symmetric inputs with |X|^2 uniform on [0, peak^2]."""
     if n < 1:
         raise ValueError("need at least one sample")
-    if peak <= 0:
+    if not peak > 0:
         raise ValueError("peak amplitude must be positive")
     rng = np.random.default_rng(seed)
     radius = peak * np.sqrt(rng.random(n))
@@ -61,33 +53,6 @@ def simulate_channel(x, h, seed):
     return h * x + math.sqrt(0.5) * z
 
 
-def _mean_log_distance(eps):
-    """Mean log k-th neighbour distance, zero distances left out.
-
-    Beyond 1% zeros the sample is rejected: the law has atoms.
-    """
-    positive = eps > 0
-    if np.count_nonzero(~positive) > 0.01 * len(eps):
-        raise DegenerateSampleError(
-            "more than 1% duplicate points; differential entropy of a law "
-            "with atoms is not defined")
-    return np.mean(np.log(eps[positive]))
-
-
-def _kl_entropy(samples, k):
-    """Kozachenko-Leonenko estimate of differential entropy in the plane."""
-    import scipy.spatial  # here, not at the top: it loads scipy.linalg, and no CLI job uses it
-    from scipy.special import digamma  # here, not at the top: only the entropy estimates use it
-
-    samples = np.asarray(samples)
-    pts = np.column_stack([samples.real, samples.imag])
-    n = len(pts)
-    tree = scipy.spatial.cKDTree(pts)
-    dist, _ = tree.query(pts, k=k + 1, workers=-1)
-    return float(digamma(n) - digamma(k) + math.log(math.pi)
-                 + 2.0 * _mean_log_distance(dist[:, k]))
-
-
 def _kl_entropy_1d(values, k):
     """Kozachenko-Leonenko estimate of differential entropy on the line.
 
@@ -95,9 +60,11 @@ def _kl_entropy_1d(values, k):
     itself, fill one of the k + 1 windows of k + 1 consecutive values that
     contain it, so its k-th neighbour distance is the smallest reach of those
     windows.  Both ends are padded with k infinities, which no window can
-    pick, so no tree is built and no end point is a special case.
+    pick, so no tree is built and no end point is a special case.  Zero
+    distances are left out of the mean log distance; beyond 1% zeros the
+    sample is rejected: the law has atoms.
     """
-    from scipy.special import digamma  # here, not at the top: only the entropy estimates use it
+    from scipy.special import digamma  # here, not at the top: only the entropy estimate uses it
 
     x = np.sort(values)
     n = len(x)
@@ -107,29 +74,13 @@ def _kl_entropy_1d(values, k):
     for j in range(k + 1):
         reach = np.maximum(padded[k + j:k + j + n] - x, x - padded[j:j + n])
         np.minimum(eps, reach, out=eps)
+    positive = eps > 0
+    if np.count_nonzero(~positive) > 0.01 * n:
+        raise DegenerateSampleError(
+            "more than 1% duplicate points; differential entropy of a law "
+            "with atoms is not defined")
     return float(digamma(n) - digamma(k) + math.log(2.0)
-                 + _mean_log_distance(eps))
-
-
-def estimate_entropy(samples, k=4):
-    """k-NN differential entropy of complex samples with a jackknife error bar.
-
-    The standard error comes from a delete-a-group jackknife over 10 folds.
-    Isolated duplicate points (at most 1% of the sample) are left out of the
-    log-distance average; beyond that the sample is rejected as degenerate.
-    """
-    samples = np.asarray(samples)
-    n = len(samples)
-    if n < 100:
-        raise ValueError("need at least 100 samples")
-    if not 1 <= k <= 20:
-        raise ValueError("neighbor order must lie in 1..20")
-    value = _kl_entropy(samples, k)
-    folds = np.arange(n) % _FOLDS
-    thetas = np.array([_kl_entropy(samples[folds != j], k) for j in range(_FOLDS)])
-    se = math.sqrt((_FOLDS - 1) / _FOLDS * np.sum((thetas - thetas.mean())**2))
-    return EntropyEstimate(value=value, standard_error=se,
-                           sample_count=n, neighbor_order=k)
+                 + np.mean(np.log(eps[positive])))
 
 
 def estimate_coherent_mi(model, snr, n_samples, seed):
@@ -163,8 +114,7 @@ def estimate_coherent_mi(model, snr, n_samples, seed):
     entropies = np.array([stratum(m) for m in range(_STRATA)])
     mi = float(entropies.mean() - math.log(math.pi * math.e))
     se = float(entropies.std(ddof=1) / math.sqrt(_STRATA))
-    return EntropyEstimate(value=mi, standard_error=se,
-                           sample_count=per * _STRATA, neighbor_order=4)
+    return EntropyEstimate(value=mi, standard_error=se)
 
 
 def empirical_spectrum(values, segment_length):

@@ -6,8 +6,16 @@ After the run, one PASS/FAIL line is printed per acceptance criterion
 
 import numpy as np
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from prelog_lab import spectra
+
+
+def pytest_configure(config):
+    # hypothesis caches the constants it reads from the library's source in
+    # its home directory, ./.hypothesis unless told otherwise
+    if getattr(config, "cache", None) is not None:
+        set_hypothesis_home_dir(config.cache.mkdir("hypothesis"))
 
 
 def random_pc_spectrum(rng, with_masses=False):

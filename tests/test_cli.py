@@ -437,6 +437,7 @@ class TestPackageExports:
     def test_every_exported_name_resolves(self):
         for name in prelog_lab.__all__:
             assert getattr(prelog_lab, name) is not None, name
-        for gone in ("ChannelParams", "SamplePath", "InputBatch", "CovarianceMatrix"):
+        for gone in ("ChannelParams", "SamplePath", "InputBatch", "CovarianceMatrix",
+                     "estimate_entropy"):
             assert gone not in prelog_lab.__all__
             assert not hasattr(prelog_lab, gone)

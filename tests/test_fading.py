@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from prelog_lab import fading, spectra
+from prelog_lab import bounds, fading, mcsim, spectra
 from prelog_lab.errors import UnsupportedModelError
 
 
@@ -264,7 +264,7 @@ class TestMarginalTail:
 
     @pytest.mark.parametrize("j", [1, 2, 3, 5, 9])
     def test_four_point_tail_is_exact_enumeration(self, j, monkeypatch):
-        # J <= 9 only: a 10-tap law reads 1e7 draws (~0.3 GB), too much here
+        # J <= 9: ten or more taps raise (test_ten_four_point_taps_are_unsupported)
         rng = np.random.default_rng(j)
         taps = rng.standard_normal(j) + 1j * rng.standard_normal(j)
         m = fading.fir_model(taps, fading.FOUR_POINT_PHASE, d=0.4 - 0.3j)
@@ -278,6 +278,17 @@ class TestMarginalTail:
         # an atom within 1e-12 below gamma counts
         counts = brute.size - np.searchsorted(brute, gammas - 1e-12, side="left")
         assert np.array_equal(fading.marginal_tail(m, gammas), counts / 4**j)
+
+    def test_ten_four_point_taps_are_unsupported(self, monkeypatch):
+        # 4^10 atoms are more than the draw table holds; no table, no draws
+        monkeypatch.setattr(fading, "draw_marginal", None)
+        misses = fading._marginal_samples.cache_info().misses
+        m = fading.fir_model(np.ones(10), fading.FOUR_POINT_PHASE)
+        with pytest.raises(UnsupportedModelError, match="with 10 taps"):
+            fading.marginal_tail(m, 1.0)
+        with pytest.raises(UnsupportedModelError):
+            bounds.capacity_lower_bound(m, 100.0)
+        assert fading._marginal_samples.cache_info().misses == misses
 
     def test_three_circles_against_phase_integral(self):
         # the 1e6-draw table against (1/pi) int_0^pi T2(rho(psi), r3, g) dpsi,
@@ -363,3 +374,21 @@ class TestZeroMassCheck:
             fading.zero_mass_check(g, 0.0, 10**4, seed=0)
         with pytest.raises(ValueError):
             fading.zero_mass_check(g, 0.01, 10, seed=0)
+
+
+FOUR_POINT_TWO_TAPS = fading.fir_model([1.0, 0.5], fading.FOUR_POINT_PHASE)
+RAYLEIGH = fading.gaussian_model(spectra.white())
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: fading.marginal_tail(FOUR_POINT_TWO_TAPS, math.nan), "gamma must be nonnegative"),
+    (lambda: fading.marginal_tail(RAYLEIGH, [0.5, math.nan]), "gamma must be nonnegative"),
+    (lambda: bounds.capacity_lower_bound(FOUR_POINT_TWO_TAPS, 100.0, math.nan),
+     "gamma must be nonnegative"),
+    (lambda: bounds.coherent_term(100.0, math.nan, 0.5), "gamma must be positive"),
+    (lambda: fading.zero_mass_check(RAYLEIGH, math.nan), "epsilon must be positive"),
+    (lambda: mcsim.sample_inputs(8, math.nan, 0), "peak amplitude must be positive"),
+], ids=["tail-atoms", "tail-rayleigh", "bound", "coherent", "zero-mass", "inputs"])
+def test_nan_fails_the_positivity_guards(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

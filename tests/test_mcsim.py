@@ -106,68 +106,6 @@ class TestSimulateChannel:
             mcsim.simulate_channel(batch, self._path(255), 5)
 
 
-class TestEstimateEntropy:
-    def test_complex_gaussian(self):
-        rng = np.random.default_rng(100)
-        n = 20000
-        z = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2)
-        est = mcsim.estimate_entropy(z)
-        assert est.value == pytest.approx(LN_PI_E, abs=0.05)
-        assert abs(est.value - LN_PI_E) < 5 * est.standard_error
-        assert est.sample_count == n and est.neighbor_order == 4
-
-    def test_uniform_disk(self):
-        rng = np.random.default_rng(101)
-        n = 20000
-        pts = np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
-        est = mcsim.estimate_entropy(pts)
-        assert est.value == pytest.approx(math.log(math.pi), abs=0.05)
-
-    def test_scaling_identity_is_exact(self):
-        # dilating the sample by c shifts the estimator by exactly 2 ln c
-        rng = np.random.default_rng(102)
-        z = rng.standard_normal(2000) + 1j * rng.standard_normal(2000)
-        base = mcsim.estimate_entropy(z)
-        scaled = mcsim.estimate_entropy(3.0 * z)
-        assert scaled.value - base.value == pytest.approx(math.log(9.0),
-                                                          abs=1e-9)
-
-    def test_bias_shrinks_with_sample_size(self):
-        small, big = [], []
-        for s in range(20):
-            rng = np.random.default_rng([909, s])
-            z = (rng.standard_normal(10**5)
-                 + 1j * rng.standard_normal(10**5)) / math.sqrt(2)
-            big.append(mcsim._kl_entropy(z, 4) - LN_PI_E)
-            small.append(mcsim._kl_entropy(z[:1000], 4) - LN_PI_E)
-        assert abs(np.mean(big)) < abs(np.mean(small))
-
-    def test_duplicates_beyond_one_percent_are_degenerate(self):
-        rng = np.random.default_rng(103)
-        z = rng.standard_normal(400) + 1j * rng.standard_normal(400)
-        z[200:] = z[0]
-        with pytest.raises(DegenerateSampleError):
-            mcsim.estimate_entropy(z)
-
-    def test_isolated_duplicates_are_tolerated(self):
-        rng = np.random.default_rng(104)
-        z = rng.standard_normal(1000) + 1j * rng.standard_normal(1000)
-        z[1] = z[0]  # a single coincident pair, well under 1%
-        est = mcsim.estimate_entropy(z)
-        assert math.isfinite(est.value)
-
-    def test_validation(self):
-        rng = np.random.default_rng(105)
-        z = rng.standard_normal(99) + 1j * rng.standard_normal(99)
-        with pytest.raises(ValueError):
-            mcsim.estimate_entropy(z)
-        z = rng.standard_normal(500) + 1j * rng.standard_normal(500)
-        with pytest.raises(ValueError):
-            mcsim.estimate_entropy(z, k=0)
-        with pytest.raises(ValueError):
-            mcsim.estimate_entropy(z, k=21)
-
-
 class TestKlEntropy1d:
     @pytest.mark.parametrize("k", [1, 4])
     def test_neighbour_distances_match_brute_force(self, k):
@@ -214,19 +152,6 @@ class TestEstimateCoherentMi:
         est = mcsim.estimate_coherent_mi(self.WHITE, 100.0, 64000, 5)
         report = bounds.capacity_lower_bound(self.WHITE, 100.0)
         assert est.value >= report.coherent - 3 * est.standard_error
-
-    def test_agrees_with_direct_estimate_for_unit_modulus_fading(self):
-        # |H| = 1 and X circularly symmetric, so HX has the law of X and the
-        # conditional MI equals the single unconditional run h(X + Z) - h(Z)
-        model = fading.fir_model([1.0], fading.UNIT_MODULUS)
-        strat = mcsim.estimate_coherent_mi(model, 100.0, 64000, 5)
-        inputs = mcsim.sample_inputs(20000, math.sqrt(100.0), 77)
-        rng = np.random.default_rng(78)
-        z = math.sqrt(0.5) * (
-            rng.standard_normal(20000) + 1j * rng.standard_normal(20000))
-        direct = mcsim.estimate_entropy(inputs + z)
-        mi_direct = direct.value - LN_PI_E
-        assert abs(strat.value - mi_direct) < 0.04
 
     def test_exact_unit_modulus_value(self):
         # the radial quadrature is the oracle: each estimate lies within 3 SE
