@@ -13,7 +13,6 @@ mean d; the centered process always has unit variance.
 from __future__ import annotations
 
 import functools
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,12 +31,14 @@ INNOVATION_LAWS = (COMPLEX_GAUSSIAN, UNIT_MODULUS, FOUR_POINT_PHASE)
 # exact alphabet so that |H_k| = 1 holds to the last bit for single-tap models
 _FOUR_POINTS = np.array([1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j])
 
-_EMPIRICAL_N = 10**6
-_FOUR_POINT_MAX_TAPS = 9  # 4^9 = 262,144 atoms; 4^10 would outgrow the 1e6-draw table
-_EMPIRICAL_SEED = 181_451_339  # fixed: cached marginal CDFs must not depend on callers
-_TABLE_LOCK = threading.Lock()
+_FOUR_POINT_MAX_TAPS = 9  # 4^9 = 262,144 atoms, 2 MiB a table; each tap more quadruples it
 _EMBED_CAP = 2**20
 _EMBED_CLIP_TOL = 1e-4  # relative eigenvalue mass clipped to zero in the embedding
+# tanh-sinh rule for a mean over [0, 1]: nodes s = (1 + tanh(pi/2 sinh t)) / 2, t on 96 points
+# of step h in [-3.1, 3.1], crowd the ends, where kinks sit; the weights h ds/dt sum to 1
+_DE_T, _DE_H = np.linspace(-3.1, 3.1, 96, retstep=True)
+_PHASE_S = (1.0 + np.tanh(np.pi / 2.0 * np.sinh(_DE_T))) / 2.0
+_PHASE_W = _DE_H * np.pi * _PHASE_S * (1.0 - _PHASE_S) * np.cosh(_DE_T)
 
 
 @dataclass(frozen=True)
@@ -77,10 +78,10 @@ def fir_spectrum(taps):
 def fir_model(taps, innovation=COMPLEX_GAUSSIAN, d=0.0):
     """H_k = d + sum_j tap_j W_{k-j} with IID unit-variance innovations W.
 
-    Taps are normalized to unit total power so the centered process has unit
-    variance; the derived spectral density is exact, so a Gaussian and a
-    non-Gaussian model built from the same taps share the same spectrum by
-    construction.
+    Taps are scaled to unit total power, so the centered process has unit
+    variance; taps within 1e-12 of it are kept, so a model's own taps rebuild
+    it bit for bit.  The derived spectral density is exact, so a Gaussian and a
+    non-Gaussian model built from the same taps share the same spectrum.
     """
     a = np.asarray(taps, dtype=complex)
     if a.ndim != 1 or a.size == 0:
@@ -90,7 +91,7 @@ def fir_model(taps, innovation=COMPLEX_GAUSSIAN, d=0.0):
     power = np.sum(np.abs(a) ** 2)
     if power == 0:
         raise ValueError("taps must not be all zero")
-    a = a / np.sqrt(power)
+    a = a if abs(power - 1.0) <= 1e-12 else a / np.sqrt(power)
     return FadingModel(kind=FIR, mean=complex(d), spectrum=fir_spectrum(a),
                        taps=tuple(a), innovation=innovation)
 
@@ -123,7 +124,7 @@ def _embedding_eigenvalues(spectrum, order):
     densities never embed exactly PSD at any finite order, so a small clipped
     mass is accepted instead of demanding min eigenvalue >= 0.  The cache
     holds 8 entries of at most _EMBED_CAP = 2^20 doubles each, so at most
-    64 MiB, like _marginal_samples' 8 tables of 1e6 doubles.
+    64 MiB; _marginal_samples' 8 atom tables hold at most 4^9 doubles each.
     """
     half = order // 2
     r = spectra.autocovariances(spectrum, np.arange(half + 1))
@@ -172,37 +173,48 @@ def simulate_path(model, n, seed):
 
 @functools.lru_cache(maxsize=8)
 def _marginal_samples(model):
-    """Sorted, equally weighted support of |H1| for laws without a closed-form
-    tail: the 4^J atoms |d + sum_j a_j w_j|, w in {1, i, -1, -i}^J, of a
-    four-point law (marginal_tail caps J at 9), else 1e6 draws at a fixed
-    seed for a unit-modulus law of three or more circles."""
-    taps = np.asarray(model.taps)
-    if model.innovation == FOUR_POINT_PHASE:
-        w = _FOUR_POINTS[np.indices((4,) * taps.size).reshape(taps.size, -1).T]
-        return np.sort(np.abs(model.mean + w @ taps))
-    rng = np.random.default_rng([_EMPIRICAL_SEED])
-    return np.sort(np.abs(draw_marginal(model, _EMPIRICAL_N, rng)))
+    """Sorted support of |H1| for a four-point law: its 4^J equally likely
+    atoms |d + sum_j a_j w_j|, w in {1, i, -1, -i}^J, over its J nonzero taps."""
+    taps = np.array([t for t in model.taps if t])
+    w = _FOUR_POINTS[np.indices((4,) * taps.size).reshape(taps.size, -1).T]
+    return np.sort(np.abs(model.mean + w @ taps))
+
+
+def _circle_tail(r1, r2, g):
+    """P(|r1 + r2 e^{i psi}| >= g) for psi uniform: the two-circle arccos law."""
+    cos_psi = (g * g - r1 * r1 - r2 * r2) / (2.0 * r1 * r2)
+    return np.arccos(np.clip(cos_psi, -1.0, 1.0)) / np.pi
+
+
+def _three_circle_tail(r1, r2, r3, g):
+    """Mean over psi in [0, pi] of _circle_tail(|r1 + r2 e^{i psi}|, r3, g): 1 up to
+    the kink psi = pi lo, [g < r3] past psi = pi hi, the tanh-sinh mean between."""
+    g = g[..., None]
+    lo, hi = _circle_tail(r1, r2, g + r3), _circle_tail(r1, r2, np.abs(g - r3))
+    rho = np.abs(r1 + r2 * np.exp(1j * np.pi * (lo + (hi - lo) * _PHASE_S)))
+    inner = (_circle_tail(rho, r3, g) * _PHASE_W).sum(-1, keepdims=True)  # same bits in any batch
+    return (lo + (hi - lo) * inner + (1.0 - hi) * (g < r3))[..., 0]
 
 
 def marginal_tail(model, gamma):
     """P(|H1| >= gamma), elementwise: a float for a scalar gamma, else an array
     of gamma's shape.
 
-    Exact for:
-    - Gaussian marginals, Rayleigh or Rice (filtered complex Gaussian
-      innovations included, since a unit-power filter preserves the law);
-    - unit modulus made of two circles, one tap with any mean or two taps
-      with zero mean: |H1| = |r1 + r2 e^{i psi}| with psi uniform, so the
-      tail is arccos((gamma^2 - r1^2 - r2^2) / (2 r1 r2)) / pi, clipped to
-      [0, 1], or a step at r2 when r1 = 0;
-    - four-point phase with up to 9 taps: k / 4^J for the k of its 4^J
-      equally likely atoms at or above gamma.
-    Four-point laws with 10 or more taps raise UnsupportedModelError.
-    Unit-modulus laws of three or more circles read an empirical tail from
-    1e6 cached draws, whose standard error is at most 5e-4.  Tables count an
-    atom within 1e-12 below gamma (|(1 + i)/sqrt(2)| = 1 may round an ulp
-    low), so optimize_gamma may return a threshold up to ~1e-12 above an
-    atom.  A negative or NaN gamma raises ValueError.
+    - Gaussian marginals are Rayleigh or Rice, exact (filtered complex Gaussian
+      innovations too: a unit-power filter preserves the law).
+    - Unit modulus has a circle per nonzero term of d + sum_j a_j W_j: a step at
+      r for one; for two, |H1| = |r1 + r2 e^{i psi}| with psi uniform and tail
+      arccos((gamma^2 - r1^2 - r2^2) / (2 r1 r2)) / pi clipped to [0, 1], which
+      rounding of the cosine perturbs by up to 5e-9 at its support ends (1e-7
+      for r1 = 1e-4 r2); three average that law over a phase by a 96-node
+      tanh-sinh rule, within 1e-10 of adaptive quadrature save near kinks of
+      laws with equal or near-zero radii (3e-10); four or more raise
+      UnsupportedModelError.
+    - Four-point phase with J <= 9 nonzero taps is exactly k / 4^J for the k of
+      its 4^J equally likely atoms at or above gamma (one within 1e-12 below counts:
+      |(1 + i)/sqrt(2)| = 1 may round an ulp low, so optimize_gamma may return
+      a threshold ~1e-12 above an atom); more taps raise UnsupportedModelError.
+    A negative or NaN gamma raises ValueError.
     """
     g = np.asarray(gamma, dtype=float)
     if not (g >= 0).all():
@@ -216,21 +228,24 @@ def marginal_tail(model, gamma):
             # scipy.stats.rice.sf(g, sqrt(2)|d|, scale=sqrt(1/2)), by its own formula
             tail = 1.0 - scipy.special.chndtr(np.square(g / np.sqrt(0.5)), 2,
                                               np.square(np.sqrt(2.0) * abs(model.mean)))
-    elif model.innovation == UNIT_MODULUS and len(model.taps) + (model.mean != 0) <= 2:
-        # the moduli of the two terms of H1; a zero mean is the r1 = 0 of one tap
-        r1, r2 = sorted(abs(c) for c in (model.mean, *model.taps))[-2:]
-        if r1 == 0:
-            tail = (r2 >= g - 1e-12).astype(float)
+    elif model.innovation == UNIT_MODULUS:
+        radii = sorted(abs(c) for c in (model.mean, *model.taps) if c)
+        if len(radii) == 1:
+            tail = (radii[0] >= g - 1e-12).astype(float)
+        elif len(radii) == 2:
+            tail = _circle_tail(*radii, g)
+        elif len(radii) == 3:  # the middle circle outermost: |r1 - r2| > 0 unless all equal
+            tail = _three_circle_tail(radii[0], radii[2], radii[1], g)
         else:
-            cos_psi = (g * g - r1 * r1 - r2 * r2) / (2.0 * r1 * r2)
-            tail = np.arccos(np.clip(cos_psi, -1.0, 1.0)) / np.pi
+            raise UnsupportedModelError(f"unit modulus with {len(radii)} circles: "
+                                        f"exact tails cover at most three")
     else:
-        if model.innovation == FOUR_POINT_PHASE and len(model.taps) > _FOUR_POINT_MAX_TAPS:
+        nonzero = sum(1 for t in model.taps if t)
+        if nonzero > _FOUR_POINT_MAX_TAPS:
             raise UnsupportedModelError(
-                f"four-point phase with {len(model.taps)} taps: exact tails "
+                f"four-point phase with {nonzero} taps: exact tails "
                 f"enumerate 4^J atoms for at most {_FOUR_POINT_MAX_TAPS} taps")
-        with _TABLE_LOCK:  # concurrent first calls for one model build one table
-            support = _marginal_samples(model)
+        support = _marginal_samples(model)
         tail = (support.size - np.searchsorted(support, g - 1e-12)) / support.size
     tail = np.where(g == 0, 1.0, tail)
     return float(tail) if tail.ndim == 0 else tail

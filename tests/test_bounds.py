@@ -376,7 +376,7 @@ TAIL_PATHS = {
     "four-point-single-tap": fading.fir_model([1.0], fading.FOUR_POINT_PHASE, d=0.3),
     "unit-modulus-step": fading.fir_model([1.0], fading.UNIT_MODULUS),
     "unit-modulus-arccos": fading.fir_model([1.0, 0.5], fading.UNIT_MODULUS),
-    "unit-modulus-draws": fading.fir_model([1.0, 0.6, 0.3j], fading.UNIT_MODULUS),
+    "unit-modulus-three-circles": fading.fir_model([1.0, 0.6, 0.3j], fading.UNIT_MODULUS),
     "four-point": FOUR_POINT,
 }
 

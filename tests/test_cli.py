@@ -298,6 +298,28 @@ class TestErrorPaths:
         assert code == 2 and out == ""
         assert f"does not list the {command!r} artifact" in err
 
+    # unit modulus with four circles: exact tails cover at most three
+    FOUR_CIRCLES = {"kind": "fir", "innovation": "unit_modulus", "mean": [0.5, 0.0],
+                    "taps": [[1.0, 0.0], [0.6, 0.0], [0.0, 0.3]]}
+
+    @pytest.mark.parametrize("command", ["bound", "prelog", "mi"])
+    def test_four_circles_are_a_validation_error(self, tmp_path, capsys, command):
+        path = write_scenario(tmp_path, model=self.FOUR_CIRCLES, mc_samples=10000,
+                              snr_grid=[1e2, 1e3, 1e4, 1e5])
+        csv_path = tmp_path / "out.csv"
+        for argv in ([], ["--out", str(csv_path)]):
+            code, out, err = run(capsys, [command, "--scenario", path, *argv])
+            assert code == 2 and out == ""
+            assert "error: unit modulus with 4 circles" in err
+        assert not csv_path.exists()
+
+    @pytest.mark.parametrize("command", ["szego", "spectrum-check"])
+    def test_four_circles_run_jobs_without_a_tail(self, tmp_path, capsys, command):
+        path = write_scenario(tmp_path, model=self.FOUR_CIRCLES)
+        code, out, err = run(capsys, [command, "--scenario", path])
+        assert code == 0 and err == ""
+        assert len(parse(out)[1]) > 1
+
     @pytest.mark.parametrize("where, token", [("snr_grid", "[NaN]"),
                                               ("snr", "Infinity"),
                                               ("density", "-Infinity"),

@@ -1,6 +1,5 @@
 import itertools
 import math
-import threading
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ from prelog_lab import bounds, fading, mcsim, spectra
 from prelog_lab.errors import UnsupportedModelError
 
 
-# three circles of radii 0.83, 0.50 and 0.25: no closed-form tail, 1e6 draws
+# three circles of radii 0.83, 0.50 and 0.25: a tail by one phase integral
 THREE_CIRCLES = [1.0, 0.6, 0.3j]
 
 
@@ -19,6 +18,24 @@ def bartlett_se(spectrum, n, lags=200):
     stationary Gaussian path: sqrt(2 sum_m |r(m)|^2 / n)."""
     r = spectra.autocovariances(spectrum, np.arange(lags))
     return math.sqrt(2.0 * float(np.sum(np.abs(r) ** 2)) / n)
+
+
+def phase_integral(r1, r2, r3, gamma):
+    """Tail oracle for three unit-modulus circles: the two-circle arccos law of
+    radii |r2 + r3 e^{i psi}| and r1, averaged over psi in [0, pi] by quad,
+    split where that modulus is gamma + r1 or |gamma - r1|."""
+    def integrand(psi):
+        rho = abs(r2 + r3 * complex(math.cos(psi), math.sin(psi)))
+        c = (gamma * gamma - rho * rho - r1 * r1) / (2.0 * rho * r1)
+        return math.acos(min(1.0, max(-1.0, c))) / math.pi
+
+    kinks = [math.acos(c) for c in ((x * x - r2 * r2 - r3 * r3) / (2.0 * r2 * r3)
+                                     for x in (gamma + r1, abs(gamma - r1)))
+             if -1.0 < c < 1.0]
+    edges = sorted({0.0, math.pi, *kinks})
+    return sum(scipy.integrate.quad(integrand, a, b, epsabs=1e-13, epsrel=1e-12,
+                                    limit=200)[0]
+               for a, b in zip(edges, edges[1:])) / math.pi
 
 
 def empirical_autocov(values, lag):
@@ -233,10 +250,15 @@ class TestMarginalTail:
                     se = math.sqrt(max(p * (1 - p), 1e-12) / n)
                     assert abs(p - emp) < 5 * se
 
-    def test_two_circle_laws_build_no_tail_table(self):
+    def test_two_circle_laws_build_no_tail_table(self, monkeypatch):
+        # three circles too: no unit-modulus law builds a table or draws
+        monkeypatch.setattr(fading, "draw_marginal", None)
         laws = [fading.fir_model([1.0], fading.UNIT_MODULUS),
                 fading.fir_model([1.0j], fading.UNIT_MODULUS, d=0.3 - 0.2j),
-                fading.fir_model([1.0, 0.4 - 0.7j], fading.UNIT_MODULUS)]
+                fading.fir_model([1.0, 0.4 - 0.7j], fading.UNIT_MODULUS),
+                fading.fir_model(THREE_CIRCLES, fading.UNIT_MODULUS),
+                fading.fir_model([1.0, 0.4 - 0.7j], fading.UNIT_MODULUS, d=0.5j),
+                fading.fir_model([1.0, 1.0, 1.0], fading.UNIT_MODULUS)]
         misses = fading._marginal_samples.cache_info().misses
         for m in laws:
             fading.marginal_tail(m, np.linspace(0.0, 2.0, 9))
@@ -280,7 +302,7 @@ class TestMarginalTail:
         assert np.array_equal(fading.marginal_tail(m, gammas), counts / 4**j)
 
     def test_ten_four_point_taps_are_unsupported(self, monkeypatch):
-        # 4^10 atoms are more than the draw table holds; no table, no draws
+        # 4^10 atoms would take 8 MiB a table; no table, no draws
         monkeypatch.setattr(fading, "draw_marginal", None)
         misses = fading._marginal_samples.cache_info().misses
         m = fading.fir_model(np.ones(10), fading.FOUR_POINT_PHASE)
@@ -291,20 +313,67 @@ class TestMarginalTail:
         assert fading._marginal_samples.cache_info().misses == misses
 
     def test_three_circles_against_phase_integral(self):
-        # the 1e6-draw table against (1/pi) int_0^pi T2(rho(psi), r3, g) dpsi,
-        # rho the modulus of the first two circles at phase difference psi and
-        # T2 the two-circle arccos law, by 4096 midpoints
-        m = fading.fir_model(THREE_CIRCLES, fading.UNIT_MODULUS)
-        r1, r2, r3 = np.abs(m.taps)
-        psi = (np.arange(4096) + 0.5) * math.pi / 4096
-        rho = np.sqrt(r1 * r1 + r2 * r2 + 2 * r1 * r2 * np.cos(psi))
-        n = fading._marginal_samples(m).size
-        assert n == 10**6
+        # the tail against (1/pi) int_0^pi T2(|r2 + r3 e^{i psi}|, r1, gamma) dpsi
+        # by quad: the phase between the two largest circles, where the library
+        # integrates over the phase between the smallest and the largest
+        rng = np.random.default_rng(17)
+        laws = [(THREE_CIRCLES, 0.0), ([1.0, 1.0, 1.0], 0.0), ([1.0, -1.0j], 0.5),
+                ([1.0, 1.0j], 1.0), ([1.0, 1.0], 2.0), ([1.0, 1e-9, 0.5], 0.0),
+                ([1e-9j, 1.0, 1.0], 0.0), ([0.5, 0.5j], 0.4)]
+        while len(laws) < 32:  # three taps, or two taps and a mean
+            j = 3 - len(laws) % 2
+            taps = rng.standard_normal(j) + 1j * rng.standard_normal(j)
+            laws.append((taps, 0.0 if j == 3 else complex(*rng.standard_normal(2))))
+        for taps, d in laws:
+            m = fading.fir_model(taps, fading.UNIT_MODULUS, d=d)
+            r1, r2, r3 = sorted(abs(c) for c in (m.mean, *m.taps) if c)
+            # a grid, and both sides of each kink (at a relative 1e-6); kinks
+            # near zero are left out, where both sides meet the arccos law's
+            # own rounding floor (see marginal_tail)
+            kinks = [r1 + r2 + r3, r3 + r2 - r1, r3 - r2 + r1, abs(r3 - r2 - r1), r1, r2, r3]
+            gammas = np.array([*np.linspace(0.0, r1 + r2 + r3, 9)[1:],
+                               *(k * f for k in kinks if k > 1e-6
+                                 for f in (1 - 1e-6, 1 + 1e-6))])
+            want = [phase_integral(r1, r2, r3, g) for g in gammas]
+            assert np.max(np.abs(fading.marginal_tail(m, gammas) - want)) <= 1e-10
+
+    @pytest.mark.parametrize("taps, d", [(THREE_CIRCLES, 0.0), ([1.0, 1.0j], 0.6)],
+                             ids=["three-taps", "two-taps-and-mean"])
+    def test_three_circles_against_draws(self, taps, d, rng):
+        m = fading.fir_model(taps, fading.UNIT_MODULUS, d=d)
+        n = 10**6
+        draws = np.abs(fading.draw_marginal(m, n, rng))
         for gamma in np.linspace(0.1, 1.5, 8):
-            cos_phi = (gamma * gamma - rho * rho - r3 * r3) / (2 * rho * r3)
-            want = float(np.mean(np.arccos(np.clip(cos_phi, -1.0, 1.0)))) / math.pi
-            se = math.sqrt(max(want * (1 - want), 1e-12) / n)
-            assert abs(fading.marginal_tail(m, gamma) - want) < 5 * se
+            p = fading.marginal_tail(m, gamma)
+            se = math.sqrt(max(p * (1 - p), 1e-12) / n)
+            assert abs(p - float(np.mean(draws >= gamma))) < 5 * se
+
+    def test_four_circles_are_unsupported(self, monkeypatch):
+        monkeypatch.setattr(fading, "draw_marginal", None)
+        for taps, d in (([1.0, 0.6, 0.3j, 0.2], 0.0), (THREE_CIRCLES, 0.5)):
+            m = fading.fir_model(taps, fading.UNIT_MODULUS, d=d)
+            with pytest.raises(UnsupportedModelError, match="with 4 circles"):
+                fading.marginal_tail(m, 1.0)
+            with pytest.raises(UnsupportedModelError):
+                bounds.capacity_lower_bound(m, 100.0)
+
+    @pytest.mark.parametrize("taps, innovation, d", [
+        ([1.0] + [0.0] * 9, fading.FOUR_POINT_PHASE, 0.0),
+        ([1.0, 0.0, 0.5], fading.FOUR_POINT_PHASE, 0.3j),
+        ([1.0, 0.0], fading.UNIT_MODULUS, 0.5),
+        ([0.0, 1.0, 0.0, 0.6, 0.3j], fading.UNIT_MODULUS, 0.0),
+    ], ids=["four-point-ten-taps", "four-point-three-taps", "unit-modulus-tap-and-mean",
+            "unit-modulus-three-circles"])
+    def test_zero_taps_add_no_circle_or_atom(self, taps, innovation, d, monkeypatch):
+        # a zero tap leaves H1's law as it is: the tail is that of the law
+        # without it, bit for bit, and no table holds more than its atoms
+        monkeypatch.setattr(fading, "draw_marginal", None)
+        m = fading.fir_model(taps, innovation, d=d)
+        bare = fading.fir_model([t for t in taps if t], innovation, d=d)
+        grid = np.linspace(0.0, 2.5, 101)
+        assert np.array_equal(fading.marginal_tail(m, grid), fading.marginal_tail(bare, grid))
+        if innovation == fading.FOUR_POINT_PHASE:
+            assert fading._marginal_samples(m).size == 4 ** len(bare.taps)
 
     def test_array_gamma_matches_scalar_calls(self):
         models = [
@@ -329,26 +398,6 @@ class TestMarginalTail:
             bad[5, 2] = -1e-9
             with pytest.raises(ValueError):
                 fading.marginal_tail(m, bad)
-
-    def test_concurrent_first_lookups_build_one_tail_table(self):
-        # two threads miss the empty tail-table cache together
-        m = fading.fir_model([1.0, 0.5 + 0.5j], fading.FOUR_POINT_PHASE)
-        fading._marginal_samples.cache_clear()
-        barrier = threading.Barrier(2, timeout=60)
-        tails = []
-
-        def lookup():
-            barrier.wait()
-            tails.append(fading.marginal_tail(m, 1.0))
-
-        threads = [threading.Thread(target=lookup) for _ in range(2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-        assert not any(t.is_alive() for t in threads)
-        assert len(tails) == 2 and tails[0] == tails[1]
-        assert fading._marginal_samples.cache_info().misses == 1
 
 
 class TestZeroMassCheck:
