@@ -1,7 +1,7 @@
 """Serial stand-ins kept only because the perfbench harness imports them.
 
 The library runs serially.  perfbench reads thread_count() and traces
-cli.run_bound's one parallel_map call; ROADMAP item 4's benchmark change
+cli.run_bound's one parallel_map call; ROADMAP item 1's benchmark change
 deletes this module.
 """
 

@@ -122,6 +122,10 @@ def empirical_spectrum(values, segment_length):
 
     Hann window, 50% overlap, mean removed, renormalized so that the grid sum
     times the bin width reproduces the sample variance.  Returns (grid, density).
+    The averaged periodogram repeats scipy 1.17's `welch` operation for
+    operation (window, scale, segments, |FFT|^2, mean over a C-contiguous
+    array), so it has scipy's bytes on a complex path.  That order is the
+    contract: simpler orders move the 12th digit of a shipped CSV.
     """
     values = np.asarray(values)
     seg = int(segment_length)
@@ -129,14 +133,14 @@ def empirical_spectrum(values, segment_length):
         raise ValueError("segment length must be a power of two")
     if len(values) < 8 * seg:
         raise ValueError("path must cover at least 8 segments")
-    import scipy.signal  # here, not at the top: it loads scipy.stats and scipy.integrate
-
     x = values - values.mean()
-    freqs, dens = scipy.signal.welch(x, window="hann", nperseg=seg,
-                                     noverlap=seg // 2, detrend=False,
-                                     return_onesided=False, scaling="density")
-    freqs = np.fft.fftshift(freqs)
-    dens = np.fft.fftshift(dens.real)
+    phi = np.linspace(-np.pi, np.pi, seg + 1)[:-1]
+    w = 0.5 * np.cos(0 * phi) + 0.5 * np.cos(phi)  # periodic Hann
+    w = w * (1 / np.sqrt(sum(w * w)))  # builtin sum, then a multiply
+    spec = np.fft.fft(w * np.lib.stride_tricks.sliding_window_view(x, seg)[::seg // 2]).T
+    periodograms = np.ascontiguousarray(spec.real**2 + spec.imag**2)
+    freqs = np.fft.fftshift(np.fft.fftfreq(seg))
+    dens = np.fft.fftshift(periodograms.mean(axis=-1))
     variance = float(np.mean(np.abs(x)**2))
     power = float(np.mean(np.abs(values)**2))
     if variance <= 1e-24 * max(power, 1.0):

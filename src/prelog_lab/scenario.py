@@ -68,13 +68,8 @@ def _complex_from(value):
 
 
 def _density_from_dict(data, where):
-    kind = data["kind"]
-    if kind == "constant":
-        if "value" not in data:
-            raise ScenarioError(f"{where}: constant density needs 'value'")
+    if data["kind"] == "constant":
         return spectra.TrigPolyDensity((float(data["value"]),))
-    if "coeffs" not in data:
-        raise ScenarioError(f"{where}: trig density needs 'coeffs'")
     coeffs = tuple(_complex_from(c) if isinstance(c, list) else complex(float(c))
                    for c in data["coeffs"])
     try:

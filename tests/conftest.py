@@ -4,6 +4,8 @@ After the run, one PASS/FAIL line is printed per acceptance criterion
 (the tests in test_acceptance.py), so the gate can be read off directly.
 """
 
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis.configuration import set_hypothesis_home_dir
@@ -13,9 +15,14 @@ from prelog_lab import spectra
 
 def pytest_configure(config):
     # hypothesis caches the constants it reads from the library's source in
-    # its home directory, ./.hypothesis unless told otherwise
+    # its home directory, ./.hypothesis unless told otherwise: pytest's cache,
+    # or a temporary directory removed at exit under -p no:cacheprovider
     if getattr(config, "cache", None) is not None:
         set_hypothesis_home_dir(config.cache.mkdir("hypothesis"))
+    else:
+        home = tempfile.TemporaryDirectory(prefix="hypothesis-")
+        config.add_cleanup(home.cleanup)
+        set_hypothesis_home_dir(home.name)
 
 
 def random_pc_spectrum(rng, with_masses=False):

@@ -403,21 +403,25 @@ def loaded_scipy(jobs):
 class TestImportSet:
     def test_closed_form_jobs_load_no_scipy(self):
         # bound, prelog and szego on the shipped models (zero-mean Gaussian
-        # and FIR laws, no arc pieces) use only numpy and jsonschema
+        # and FIR laws, no arc pieces) and the numpy Welch of spectrum-check
+        # use only numpy and jsonschema
         jobs = [(command, str(path))
                 for path in sorted((ROOT / "scenarios").glob("*.json"))
                 for command in json.loads(path.read_text())["outputs"]
-                if command in ("bound", "prelog", "szego")]
+                if command in ("bound", "prelog", "szego", "spectrum-check")]
         assert {pathlib.Path(path).stem for _, path in jobs} == {
             "flat_band_rayleigh", "mixed_point_mass", "two_tap_fourpoint",
             "white_rayleigh"}
+        assert {command for command, _ in jobs} == {"bound", "prelog", "szego",
+                                                    "spectrum-check"}
         assert loaded_scipy(jobs) == [[]] * (1 + len(jobs))
 
     def test_mi_loads_scipy_special_only(self):
         scen = str(ROOT / "scenarios" / "white_rayleigh.json")
         _, after_mi = loaded_scipy([("mi", scen)])
         assert "scipy.special" in after_mi
-        heavy = ["scipy.spatial", "scipy.linalg", "scipy.integrate", "scipy.stats"]
+        heavy = ["scipy.spatial", "scipy.linalg", "scipy.integrate", "scipy.stats",
+                 "scipy.signal"]
         assert [m for m in heavy if m in after_mi] == []
 
 

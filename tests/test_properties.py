@@ -2,10 +2,15 @@
 
 The examples are derandomized and no example database is kept, so the suite
 stays deterministic; conftest.py keeps hypothesis's other files in pytest's
-cache directory.
+cache directory, or in a temporary one when that cache is off.
 """
 
 import json
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -175,3 +180,26 @@ def test_scenario_dump_then_load_is_the_identity(data):
     again = scenario.scenario_from_dict(json.loads(dumped))
     assert again == scen
     assert json.dumps(scenario.scenario_to_dict(again)) == dumped
+
+
+def test_no_cacheprovider_run_writes_no_hypothesis_dir(tmp_path):
+    # without pytest's cache, conftest.py gives hypothesis a temporary home
+    # and removes it, so the checkout gets no ./.hypothesis
+    tests = pathlib.Path(__file__).resolve().parent
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tmp").mkdir()
+    shutil.copy(tests / "conftest.py", tmp_path / "tests")
+    (tmp_path / "tests" / "test_one.py").write_text(
+        "from hypothesis import given, settings, strategies as st\n"
+        "@settings(derandomize=True, database=None, max_examples=5)\n"
+        "@given(st.integers())\n"
+        "def test_any(i):\n"
+        "    assert i == i\n")
+    env = {**os.environ, "PYTHONPATH": str(tests.parent / "src"),
+           "TMPDIR": str(tmp_path / "tmp")}
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           "tests"], cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert not (tmp_path / ".hypothesis").exists()
+    assert list((tmp_path / "tmp").iterdir()) == []

@@ -160,6 +160,41 @@ class TestValidationMessages:
         with pytest.raises(ScenarioError):
             scenario.scenario_from_dict(minimal_dict(gamma_mode=-1.0))
 
+    # a field that the model's or density's kind does not read is an error,
+    # not silently dropped
+    def test_gaussian_model_rejects_taps_and_innovation(self):
+        data = minimal_dict()
+        data["model"].update(taps=[[1.0, 0.0]], innovation="unit_modulus")
+        with pytest.raises(ScenarioError,
+                           match=r"\$\['model'\]: False schema does not allow"):
+            scenario.scenario_from_dict(data)
+
+    def test_fir_model_rejects_spectrum(self):
+        data = minimal_dict()
+        data["model"].update(kind="fir", taps=[[1.0, 0.0]])
+        with pytest.raises(ScenarioError,
+                           match=r"\$\['model'\]: False schema does not allow \{'pieces'"):
+            scenario.scenario_from_dict(data)
+
+    def test_density_rejects_the_other_kinds_field(self):
+        for density, extra in (({"kind": "constant", "value": 1.0, "coeffs": [2.0]},
+                                r"\[2\.0\]"),
+                               ({"kind": "trig", "coeffs": [1.0], "value": 2.0}, r"2\.0")):
+            data = minimal_dict()
+            data["model"]["spectrum"]["pieces"][0]["density"] = density
+            with pytest.raises(ScenarioError,
+                               match=rf"\['density'\]: False schema does not allow {extra}$"):
+                scenario.scenario_from_dict(data)
+
+    def test_density_needs_its_kinds_field(self):
+        for density, missing in (({"kind": "constant"}, "value"),
+                                 ({"kind": "trig"}, "coeffs")):
+            data = minimal_dict()
+            data["model"]["spectrum"]["pieces"][0]["density"] = density
+            with pytest.raises(ScenarioError,
+                               match=rf"\['density'\]: '{missing}' is a required property"):
+                scenario.scenario_from_dict(data)
+
     def test_schema_has_no_format_keyword(self):
         # the validator runs no format checker, so a "format" would check nothing
         def format_keywords(node, path):
