@@ -28,7 +28,6 @@ class PrelogEstimate:
     snr_grid: tuple
     ratios: tuple
     intercept: float
-    partition: spectra.HarmonicPartition
 
     def __post_init__(self):
         _validated_grid(self.snr_grid)
@@ -104,5 +103,4 @@ def prelog_lower_estimate(model, snr_grid, gamma=None):
         x = 1.0 / np.log(grid[half:])
         intercept = float(np.polyfit(x, y, 1)[1])
     return PrelogEstimate(snr_grid=tuple(float(s) for s in grid), ratios=ratios,
-                          intercept=intercept,
-                          partition=spectra.partition_measures(model.spectrum))
+                          intercept=intercept)

@@ -237,11 +237,11 @@ def optimize_gamma(model, snr):
     Gamma = 1, values within 1e-9 nats count as ties and go to the smaller
     Gamma.  So the bound at the returned threshold is never below the bound
     at Gamma = 1, and every element equals the one-snr call bit for bit.
+    Any positive finite snr is searched, but the grid brackets the Rayleigh
+    optimum Gamma*^2 = 1/W0(snr/e) ~ e/snr only for snr >~ 2.7e-6; below
+    that the answer is the best grid point or Gamma = 1, still a valid bound.
     """
     snrs = _snr_values(snr)
-    low = snrs[snrs <= 1]
-    if low.size:
-        raise ValueError(f"snr must exceed 1 so that ln snr > 0, got {float(low[0])!r}")
     lsnr = np.array([math.log(s) for s in snrs.tolist()])[:, None]  # one row per snr
 
     def objective(g):

@@ -62,10 +62,9 @@ def _kl_entropy_1d(values, k):
     windows.  Both ends are padded with k infinities, which no window can
     pick, so no tree is built and no end point is a special case.  Zero
     distances are left out of the mean log distance; beyond 1% zeros the
-    sample is rejected: the law has atoms.
+    sample is rejected: the law has atoms.  The constant digamma(n) -
+    digamma(k) is, for integers, the harmonic sum of 1/j for j = k..n-1.
     """
-    from scipy.special import digamma  # here, not at the top: only the entropy estimate uses it
-
     x = np.sort(values)
     n = len(x)
     pad = np.full(k, np.inf)
@@ -79,7 +78,7 @@ def _kl_entropy_1d(values, k):
         raise DegenerateSampleError(
             "more than 1% duplicate points; differential entropy of a law "
             "with atoms is not defined")
-    return float(digamma(n) - digamma(k) + math.log(2.0)
+    return float(np.sum(1.0 / np.arange(k, n)) + math.log(2.0)
                  + np.mean(np.log(eps[positive])))
 
 

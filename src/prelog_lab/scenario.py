@@ -142,9 +142,18 @@ def _grid_from(data):
 def scenario_from_dict(data):
     error = jsonschema.exceptions.best_match(_validator().iter_errors(data))
     if error is not None:
-        loc = "$" + "".join(f"[{p!r}]" if isinstance(p, str) else f"[{p}]"
-                            for p in error.absolute_path)
-        raise ScenarioError(f"{loc}: {error.message}")
+        path, message = list(error.absolute_path), error.message
+        if error.validator is None:  # a kind rule's {field: false}; the path lost the field
+            obj = functools.reduce(lambda node, key: node[key], path, data)
+            rule = root = _validator().schema
+            for key in error.absolute_schema_path:  # local $refs are not on the path
+                if "$ref" in rule:
+                    rule = root["$defs"][rule["$ref"].rsplit("/", 1)[1]]
+                rule = rule[key]
+            path.append(next(key for key in obj if rule.get(key) is False))
+            message = f"not allowed for kind {obj['kind']!r}"
+        loc = "$" + "".join(f"[{p!r}]" if isinstance(p, str) else f"[{p}]" for p in path)
+        raise ScenarioError(f"{loc}: {message}")
     gamma_mode = data.get("gamma_mode", "optimized")
     snr_grid = _grid_from(data["snr_grid"])
     return Scenario(

@@ -120,7 +120,6 @@ class TestPrelogLowerEstimate:
         assert all(b >= a - 1e-12 for a, b in zip(est.ratios, est.ratios[1:]))
         assert est.intercept == pytest.approx(0.5, abs=0.05)
         assert est.intercept >= 0.5 - 0.05
-        assert est.partition.mu_s1 == 0.5
 
     def test_white_control(self):
         model = fading.gaussian_model(spectra.white())
@@ -132,7 +131,6 @@ class TestPrelogLowerEstimate:
         est = asymptotics.prelog_lower_estimate(model, self.GRID,
                                                 gamma=math.sqrt(math.e))
         assert est.intercept == pytest.approx(0.0, abs=0.05)
-        assert est.partition.mu_s1 == 0.0
 
     def test_fixed_gamma_ordering_identity(self):
         # ratio >= tail - penalty_ratio - tail (1 - ln g^2)/ln snr, exactly,
@@ -184,7 +182,6 @@ class TestPrelogLowerEstimate:
 
 class TestPrelogEstimateInvariants:
     def test_grid_must_exceed_e(self):
-        part = spectra.partition_measures(spectra.white())
         with pytest.raises(ValueError):
             asymptotics.PrelogEstimate(snr_grid=(2.0, 10.0), ratios=(0.1, 0.2),
-                                       intercept=0.3, partition=part)
+                                       intercept=0.3)

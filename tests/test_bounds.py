@@ -332,9 +332,21 @@ class TestOptimizeGamma:
         assert abs(math.log(rep.gamma)) < 9 / 600 * math.log(10) + 1e-9
         assert rep.coherent == pytest.approx(math.log(100.0) - 1.0, abs=1e-9)
 
-    def test_requires_snr_above_one(self):
-        with pytest.raises(ValueError):
-            bounds.optimize_gamma(fading.gaussian_model(spectra.white()), 1.0)
+    def test_accepts_any_positive_finite_snr(self):
+        # the Rayleigh optimum is gamma*^2 = 1/W0(snr/e) with coherent term
+        # W0 exp(-1/W0) at every snr > 0, below 1 too; lambertw is only the
+        # oracle.  Values within 1e-9 nats tie and go to the smaller gamma, so
+        # gamma is checked only where the optimum is far above 1e-9 nats
+        from scipy.special import lambertw
+
+        model = fading.gaussian_model(spectra.white())
+        for snr in (1e-3, 0.05, 0.5, 1.0, 2.0):
+            w = lambertw(snr / math.e).real
+            rep = bounds.capacity_lower_bound(model, snr)
+            assert rep.coherent == pytest.approx(w * math.exp(-1.0 / w), rel=1e-12, abs=1e-9)
+            assert rep.coherent >= bounds.capacity_lower_bound(model, snr, 1.0).coherent
+            if snr >= 0.5:
+                assert rep.gamma == pytest.approx(1.0 / math.sqrt(w), rel=1e-8)
 
     # (snr, gamma repr, bound repr) written by the per-point scalar search;
     # tests/golden covers neither the Rice tail nor a four-point tail below
@@ -382,8 +394,9 @@ TAIL_PATHS = {
 
 
 class TestGridForm:
-    @pytest.mark.parametrize("grid", [[2.0, 5.0, 100.0, 1e8], SHIPPED_GRID],
-                             ids=["low", "shipped"])
+    @pytest.mark.parametrize("grid", [[2.0, 5.0, 100.0, 1e8], SHIPPED_GRID,
+                                      [0.01, 0.5, 1.0, 10.0, 1e4]],
+                             ids=["low", "shipped", "below-one"])
     @pytest.mark.parametrize("path", sorted(TAIL_PATHS))
     def test_grid_equals_per_snr_calls_bitwise(self, path, grid):
         model = TAIL_PATHS[path]
@@ -409,8 +422,8 @@ class TestGridForm:
         assert bounds.capacity_lower_bound(model, np.float64(100.0), 1.0) == \
             bounds.capacity_lower_bound(model, [100.0], 1.0)[0]
 
-    @pytest.mark.parametrize("grid", [[2.0, 1.0, 100.0], [0.5], [5.0, -3.0]])
-    def test_grid_with_snr_at_most_one_is_rejected(self, grid):
+    @pytest.mark.parametrize("grid", [[5.0, -3.0], [0.0]])
+    def test_grid_with_a_nonpositive_snr_is_rejected(self, grid):
         with pytest.raises(ValueError, match="snr"):
             bounds.optimize_gamma(TAIL_PATHS["rayleigh"], grid)
 

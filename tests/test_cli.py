@@ -236,20 +236,21 @@ class TestMiCommand:
         assert row[5] == "true"
 
     def test_one_bound_call_for_the_grid(self, tmp_path, capsys, monkeypatch):
-        # optimized thresholds for snr > 1, and Γ = 1 below, where ln snr <= 0
+        # mi's analytic column is bound's coherent column cell for cell, below
+        # snr 1 too, from one capacity_lower_bound call for the whole grid
         path = write_scenario(tmp_path, snr_grid=[0.5, 10.0, 100.0], mc_samples=10000)
-        model = scenario.load_scenario(path).model
-        want = [bounds.capacity_lower_bound(model, 0.5, 1.0).coherent,
-                bounds.capacity_lower_bound(model, 10.0).coherent,
-                bounds.capacity_lower_bound(model, 100.0).coherent]
+        code, out, _ = run(capsys, ["bound", "--scenario", path])
+        assert code == 0
+        header, rows = parse(out)
+        coherent = [row[header.index("coherent_nats")] for row in rows]
         calls = []
         grid_bound = bounds.capacity_lower_bound
         monkeypatch.setattr(bounds, "capacity_lower_bound",
                             lambda *args: calls.append(args) or grid_bound(*args))
         code, out, _ = run(capsys, ["mi", "--scenario", path])
         assert code == 0 and len(calls) == 1
-        _, rows = parse(out)
-        assert [row[3] for row in rows] == [cli._fmt(v) for v in want]
+        header, rows = parse(out)
+        assert [row[header.index("analytic_bound_nats")] for row in rows] == coherent
 
     def test_seed_override_moves_mi_but_not_bound(self, tmp_path, capsys):
         path = write_scenario(tmp_path, snr_grid=[10.0], mc_samples=10000)
@@ -401,28 +402,19 @@ def loaded_scipy(jobs):
 
 
 class TestImportSet:
-    def test_closed_form_jobs_load_no_scipy(self):
-        # bound, prelog and szego on the shipped models (zero-mean Gaussian
-        # and FIR laws, no arc pieces) and the numpy Welch of spectrum-check
-        # use only numpy and jsonschema
+    def test_no_shipped_job_loads_scipy(self):
+        # every output of every shipped scenario (zero-mean Gaussian and FIR
+        # laws, no arc pieces) uses only numpy and jsonschema: the closed
+        # forms, the numpy Welch of spectrum-check and mi's harmonic-sum
+        # entropy constant
         jobs = [(command, str(path))
                 for path in sorted((ROOT / "scenarios").glob("*.json"))
-                for command in json.loads(path.read_text())["outputs"]
-                if command in ("bound", "prelog", "szego", "spectrum-check")]
+                for command in json.loads(path.read_text())["outputs"]]
         assert {pathlib.Path(path).stem for _, path in jobs} == {
             "flat_band_rayleigh", "mixed_point_mass", "two_tap_fourpoint",
             "white_rayleigh"}
-        assert {command for command, _ in jobs} == {"bound", "prelog", "szego",
-                                                    "spectrum-check"}
+        assert {command for command, _ in jobs} == set(cli._COMMANDS)
         assert loaded_scipy(jobs) == [[]] * (1 + len(jobs))
-
-    def test_mi_loads_scipy_special_only(self):
-        scen = str(ROOT / "scenarios" / "white_rayleigh.json")
-        _, after_mi = loaded_scipy([("mi", scen)])
-        assert "scipy.special" in after_mi
-        heavy = ["scipy.spatial", "scipy.linalg", "scipy.integrate", "scipy.stats",
-                 "scipy.signal"]
-        assert [m for m in heavy if m in after_mi] == []
 
 
 class TestParserReuse:

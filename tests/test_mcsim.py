@@ -123,6 +123,20 @@ class TestKlEntropy1d:
         assert mcsim._kl_entropy_1d(x[::-1], k) == pytest.approx(
             want, rel=0, abs=1e-12)
 
+    def test_harmonic_constant_matches_digamma(self):
+        # the estimator's constant digamma(n) - digamma(k) is the harmonic sum
+        # of 1/j for j = k..n-1; scipy's digamma is the oracle, 4 ulp at k = 4
+        ns = np.arange(5, 20001)
+        want = special.digamma(ns) - special.digamma(4)
+        found = np.array([np.sum(1.0 / np.arange(4, n)) for n in ns])
+        assert np.all(np.abs(found - want) <= 4 * np.spacing(want))
+        # evenly spaced values have first-neighbour distance 1 everywhere, so
+        # the estimate is that constant plus ln 2
+        for n in (2, 10, 1000, 65536):
+            want = special.digamma(n) - special.digamma(1) + math.log(2.0)
+            found = mcsim._kl_entropy_1d(np.arange(n, dtype=float), 1)
+            assert abs(found - want) <= 4 * np.spacing(want), n
+
     @pytest.mark.parametrize("seed", range(5))
     def test_calibration_on_known_laws(self, seed):
         rng = np.random.default_rng([201, seed])

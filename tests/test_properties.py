@@ -24,6 +24,7 @@ PROPERTY = settings(derandomize=True, database=None, deadline=None,
                     max_examples=50)
 
 snrs = st.floats(1.0, 8.0).map(lambda e: 10.0**e)
+any_snrs = st.floats(-3.0, 8.0).map(lambda e: 10.0**e)  # optimize_gamma's snr > 0, below 1 too
 coefficients = st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0,
                                   allow_nan=False, allow_infinity=False)
 means = st.complex_numbers(min_magnitude=0.05, max_magnitude=2.0,
@@ -100,7 +101,7 @@ def test_optimized_threshold_beats_every_grid_point(path, data):
     # and at each of its 601 grid points, up to its 1e-9 tie rule; the penalty
     # does not depend on Gamma, so the coherent terms are compared
     model = data.draw(TAIL_PATHS[path], label="model")
-    grid = np.sort(data.draw(st.lists(snrs, min_size=1, max_size=3, unique=True),
+    grid = np.sort(data.draw(st.lists(any_snrs, min_size=1, max_size=3, unique=True),
                              label="snrs"))
     gammas = np.append(np.logspace(-6.0, 3.0, 601), 1.0)
     tails = fading.marginal_tail(model, gammas)
