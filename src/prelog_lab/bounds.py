@@ -240,6 +240,8 @@ def optimize_gamma(model, snr):
     Any positive finite snr is searched, but the grid brackets the Rayleigh
     optimum Gamma*^2 = 1/W0(snr/e) ~ e/snr only for snr >~ 2.7e-6; below
     that the answer is the best grid point or Gamma = 1, still a valid bound.
+    Below 1e-9 nats of coherent term (Rayleigh at snr <~ 0.16) the grid and
+    refined points tie and the smaller wins: within a grid step of the argmax.
     """
     snrs = _snr_values(snr)
     lsnr = np.array([math.log(s) for s in snrs.tolist()])[:, None]  # one row per snr

@@ -145,12 +145,7 @@ def scenario_from_dict(data):
         path, message = list(error.absolute_path), error.message
         if error.validator is None:  # a kind rule's {field: false}; the path lost the field
             obj = functools.reduce(lambda node, key: node[key], path, data)
-            rule = root = _validator().schema
-            for key in error.absolute_schema_path:  # local $refs are not on the path
-                if "$ref" in rule:
-                    rule = root["$defs"][rule["$ref"].rsplit("/", 1)[1]]
-                rule = rule[key]
-            path.append(next(key for key in obj if rule.get(key) is False))
+            path.append(next(k for k, v in obj.items() if v is error.instance))
             message = f"not allowed for kind {obj['kind']!r}"
         loc = "$" + "".join(f"[{p!r}]" if isinstance(p, str) else f"[{p}]" for p in path)
         raise ScenarioError(f"{loc}: {message}")

@@ -207,6 +207,24 @@ class TestValidationMessages:
         assert str(exc.value) == ("$['model']['spectrum']['pieces'][1]['density']['value']: "
                                   "not allowed for kind 'trig'")
 
+    # without a kind, no kind rule applies: both kinds' fields draw only the
+    # missing-kind error, never a crash looking up the kind
+    def test_model_without_kind_but_both_kinds_fields(self):
+        data = minimal_dict()
+        del data["model"]["kind"]
+        data["model"]["taps"] = [[1, 0]]
+        with pytest.raises(ScenarioError) as exc:
+            scenario.scenario_from_dict(data)
+        assert str(exc.value) == "$['model']: 'kind' is a required property"
+
+    def test_density_without_kind_but_both_kinds_fields(self):
+        data = minimal_dict()
+        data["model"]["spectrum"]["pieces"][0]["density"] = {"value": 1, "coeffs": [2]}
+        with pytest.raises(ScenarioError) as exc:
+            scenario.scenario_from_dict(data)
+        assert str(exc.value) == ("$['model']['spectrum']['pieces'][0]['density']: "
+                                  "'kind' is a required property")
+
     def test_density_needs_its_kinds_field(self):
         for density, missing in (({"kind": "constant"}, "value"),
                                  ({"kind": "trig"}, "coeffs")):
