@@ -40,7 +40,6 @@ class LimitRatioReport:
     ratios: tuple
     target: float
     converged: bool
-    tol: float
 
 
 def _validated_grid(snr_grid):
@@ -65,20 +64,19 @@ def penalty_ratio(spectrum, snr):
 
 
 def limit_ratio_check(spectrum, snr_grid, tol=0.02):
-    """Ratios against the limit mu(S2) + mu(S3) = mu({F' > 0}).
+    """Ratios against the limit mu({F' > 0}) = 1 - mu({F' = 0}).
 
     converged requires the last ratio within tol of the target and the error
     nonincreasing over the last three grid points.
     """
     grid = _validated_grid(snr_grid)
     ratios = tuple(penalty_ratio(spectrum, s) for s in grid)
-    part = spectra.partition_measures(spectrum)
-    target = part.mu_s2 + part.mu_s3
+    target = 1.0 - gaussian_prelog(spectrum)
     errs = [abs(r - target) for r in ratios[-3:]]
     monotone = all(b <= a + 1e-15 for a, b in zip(errs, errs[1:]))
     converged = abs(ratios[-1] - target) < tol and monotone
     return LimitRatioReport(ratios=ratios, target=float(target),
-                            converged=bool(converged), tol=float(tol))
+                            converged=bool(converged))
 
 
 def prelog_lower_estimate(model, snr_grid, gamma=None):

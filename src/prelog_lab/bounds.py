@@ -234,14 +234,13 @@ def optimize_gamma(model, snr):
     golden-section step makes one tail call for the whole grid.  The tie
     rules are per snr: the first (smallest) grid maximizer, the left
     subinterval on ties, and among the grid point, the refined point and
-    Gamma = 1, values within 1e-9 nats count as ties and go to the smaller
-    Gamma.  So the bound at the returned threshold is never below the bound
-    at Gamma = 1, and every element equals the one-snr call bit for bit.
+    Gamma = 1, values within 1e-9 * min(1, |best|) nats of the best so far
+    tie and go to the smaller Gamma (relative below 1 nat, so a tiny optimum
+    still gets its argmax).  So the bound at the returned threshold is never below the bound at
+    Gamma = 1, and every element equals the one-snr call bit for bit.
     Any positive finite snr is searched, but the grid brackets the Rayleigh
     optimum Gamma*^2 = 1/W0(snr/e) ~ e/snr only for snr >~ 2.7e-6; below
     that the answer is the best grid point or Gamma = 1, still a valid bound.
-    Below 1e-9 nats of coherent term (Rayleigh at snr <~ 0.16) the grid and
-    refined points tie and the smaller wins: within a grid step of the argmax.
     """
     snrs = _snr_values(snr)
     lsnr = np.array([math.log(s) for s in snrs.tolist()])[:, None]  # one row per snr
@@ -273,8 +272,9 @@ def optimize_gamma(model, snr):
                       (1.0, float(f_one[k, 0]))]
         best_g, best_v = candidates[0]
         for g, v in candidates[1:]:
-            # near-ties (within 1e-9 nats) count as ties and go to the smaller gamma
-            if v > best_v + 1e-9 or (v >= best_v - 1e-9 and g < best_g):
+            # near-ties count as ties and go to the smaller gamma
+            tol = 1e-9 * min(1.0, abs(best_v))
+            if v > best_v + tol or (v >= best_v - tol and g < best_g):
                 best_g, best_v = g, v
         gammas[k] = best_g
     return float(gammas[0]) if np.ndim(snr) == 0 else gammas

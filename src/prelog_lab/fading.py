@@ -58,7 +58,6 @@ class ZeroMassEstimate:
 
     probability: float
     standard_error: float
-    epsilon: float
     sample_count: int
 
 
@@ -261,5 +260,4 @@ def zero_mass_check(model, epsilon, n_samples=10**6, seed=0):
     hits = np.abs(draw_marginal(model, n_samples, rng)) < epsilon
     p = float(np.mean(hits))
     se = float(np.sqrt(p * (1.0 - p) / n_samples))
-    return ZeroMassEstimate(probability=p, standard_error=se,
-                            epsilon=float(epsilon), sample_count=int(n_samples))
+    return ZeroMassEstimate(probability=p, standard_error=se, sample_count=int(n_samples))

@@ -52,15 +52,13 @@ class Scenario:
 
 @functools.lru_cache(maxsize=1)
 def _validator():
-    """Validator for the shipped schema, which is checked against its
-    metaschema here, once, instead of on every load."""
+    """Validator for the shipped schema, built once per process.  The schema
+    is checked against its metaschema in tests/test_scenario.py, not here."""
     from importlib import resources
 
     text = (resources.files("prelog_lab") / "schema" / "scenario.schema.json").read_text()
     schema = json.loads(text)
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+    return jsonschema.validators.validator_for(schema)(schema)
 
 
 def _complex_from(value):

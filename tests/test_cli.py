@@ -1,9 +1,11 @@
 import csv
+import importlib
 import io
 import json
 import math
 import os
 import pathlib
+import pkgutil
 import subprocess
 import sys
 import threading
@@ -451,11 +453,29 @@ class TestModuleEntryPoint:
         assert proc.stdout == out
 
 
-class TestPackageExports:
-    def test_every_exported_name_resolves(self):
-        for name in prelog_lab.__all__:
-            assert getattr(prelog_lab, name) is not None, name
+# Runs in a fresh interpreter: imports one layer and prints every loaded
+# module name as a JSON list.
+LOADED_BY_BOUNDS = "import json, sys, prelog_lab.bounds; print(json.dumps(sorted(sys.modules)))"
+
+
+class TestLayerImports:
+    def test_a_layer_loads_only_itself_and_its_imports(self):
+        # the package namespace re-exports nothing, so the bound loads no
+        # schema validator, scenario files, Monte Carlo or CLI
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        proc = subprocess.run([sys.executable, "-c", LOADED_BY_BOUNDS],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(json.loads(proc.stdout))
+        assert "prelog_lab.bounds" in loaded
+        assert not loaded & {"jsonschema", "prelog_lab.scenario", "prelog_lab.mcsim",
+                             "prelog_lab.cli"}
+
+    def test_deleted_names_stay_gone(self):
+        layers = [importlib.import_module(f"prelog_lab.{m.name}")
+                  for m in pkgutil.iter_modules(prelog_lab.__path__)]
+        assert len(layers) == 9
         for gone in ("ChannelParams", "SamplePath", "InputBatch", "CovarianceMatrix",
-                     "estimate_entropy"):
-            assert gone not in prelog_lab.__all__
-            assert not hasattr(prelog_lab, gone)
+                     "estimate_entropy", "__all__"):
+            for module in [prelog_lab, *layers]:
+                assert not hasattr(module, gone), (module.__name__, gone)

@@ -2,12 +2,14 @@ import json
 import math
 import pathlib
 
+import jsonschema
 import pytest
 
 from prelog_lab import fading, scenario, spectra
 from prelog_lab.scenario import ScenarioError
 
-SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCENARIO_DIR = ROOT / "scenarios"
 
 
 def minimal_dict(**overrides):
@@ -22,6 +24,13 @@ def minimal_dict(**overrides):
     }
     data.update(overrides)
     return data
+
+
+def test_shipped_schema_is_valid_under_its_metaschema():
+    # loading trusts the shipped schema, so its metaschema check lives here
+    path = ROOT / "src" / "prelog_lab" / "schema" / "scenario.schema.json"
+    schema = json.loads(path.read_text())
+    jsonschema.validators.validator_for(schema).check_schema(schema)
 
 
 class TestRoundTrips:
