@@ -94,11 +94,6 @@ def prelog_lower_estimate(model, snr_grid, gamma=None):
         raise ValueError("snr grid needs at least 4 points")
     ratios = tuple(r.ratio for r in bounds.capacity_lower_bound(model, grid, gamma))
     half = grid.size // 2
-    y = np.asarray(ratios[half:])
-    if np.all(np.abs(y - y[0]) <= 1e-15):
-        intercept = float(y[0])
-    else:
-        x = 1.0 / np.log(grid[half:])
-        intercept = float(np.polyfit(x, y, 1)[1])
+    intercept = float(np.polyfit(1.0 / np.log(grid[half:]), ratios[half:], 1)[1])
     return PrelogEstimate(snr_grid=tuple(float(s) for s in grid), ratios=ratios,
                           intercept=intercept)

@@ -96,12 +96,11 @@ def penalty_spectral(spectrum, snr):
     _check_snr(snr)
     total = 0.0
     for p in spectrum.pieces:
-        dens = p.density
-        if dens.order == 0:
-            total += (p.hi - p.lo) * math.log1p(snr * dens.coeffs[0].real)
+        if p.order == 0:
+            total += (p.hi - p.lo) * math.log1p(snr * p.coeffs[0].real)
             continue
-        c = snr * np.asarray(dens.coeffs, dtype=complex)
-        c[dens.order] += 1.0
+        c = snr * np.asarray(p.coeffs, dtype=complex)
+        c[p.order] += 1.0
         roots = np.polynomial.polynomial.polyroots(c)
         lead = abs(c[np.flatnonzero(c)[-1]])  # polyroots drops zero top coefficients
         outside = np.abs(roots) > 1.0

@@ -1,18 +1,11 @@
 """Exception types shared across the package.
 
 Domain and validation failures raise plain ValueError (or ScenarioError for
-scenario files, which subclasses it).  The classes here mark conditions that
-arise during numerical work on otherwise valid inputs.
+scenario files, which subclasses it), unsupported models included.  The class
+here marks conditions that arise during numerical work on otherwise valid
+inputs, degenerate Monte Carlo samples included.
 """
 
 
 class NumericalError(RuntimeError):
     """A numerical procedure failed to reach its accuracy or feasibility target."""
-
-
-class UnsupportedModelError(ValueError):
-    """The requested operation is not defined for this fading model."""
-
-
-class DegenerateSampleError(NumericalError):
-    """A sample set is too degenerate (e.g. heavy duplication) for estimation."""

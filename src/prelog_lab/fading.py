@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectra
-from .errors import NumericalError, UnsupportedModelError
+from .errors import NumericalError
 
 GAUSSIAN = "gaussian"
 FIR = "fir"
@@ -51,6 +51,10 @@ class FadingModel:
     taps: tuple | None = None
     innovation: str | None = None
 
+    def __post_init__(self):
+        if not np.isfinite(self.mean):
+            raise ValueError(f"mean must be finite, got {self.mean!r}")
+
 
 @dataclass(frozen=True)
 class ZeroMassEstimate:
@@ -70,7 +74,7 @@ def fir_spectrum(taps):
     """Exact trigonometric-polynomial spectrum |sum_j tap_j e^{-i 2 pi j lam}|^2."""
     a = np.asarray(taps, dtype=complex)
     corr = np.correlate(a, a, mode="full")  # filter autocorrelation, lag m at index J-1+m
-    piece = spectra.Piece(-0.5, 0.5, spectra.TrigPolyDensity(tuple(corr[::-1])))
+    piece = spectra.Piece(-0.5, 0.5, tuple(corr[::-1]))
     return spectra.SpectralDistribution(pieces=(piece,))
 
 
@@ -83,8 +87,8 @@ def fir_model(taps, innovation=COMPLEX_GAUSSIAN, d=0.0):
     non-Gaussian model built from the same taps share the same spectrum.
     """
     a = np.asarray(taps, dtype=complex)
-    if a.ndim != 1 or a.size == 0:
-        raise ValueError("taps must be a nonempty 1-d sequence")
+    if a.ndim != 1 or a.size == 0 or not np.isfinite(a).all():
+        raise ValueError("taps must be a nonempty 1-d sequence of finite numbers")
     if innovation not in INNOVATION_LAWS:
         raise ValueError(f"unknown innovation law {innovation!r}")
     power = np.sum(np.abs(a) ** 2)
@@ -164,7 +168,7 @@ def simulate_path(model, n, seed):
         w = _draw_innovations(rng, model.innovation, n + taps.size - 1)
         return model.mean + np.convolve(w, taps, mode="valid")
     if model.spectrum.point_masses:
-        raise UnsupportedModelError(
+        raise ValueError(
             "Gaussian fading with spectral point masses is not ergodic; "
             "path simulation is not supported for such models")
     return model.mean + _gaussian_path(model.spectrum, n, rng)
@@ -207,12 +211,11 @@ def marginal_tail(model, gamma):
       rounding of the cosine perturbs by up to 5e-9 at its support ends (1e-7
       for r1 = 1e-4 r2); three average that law over a phase by a 96-node
       tanh-sinh rule, within 1e-10 of adaptive quadrature save near kinks of
-      laws with equal or near-zero radii (3e-10); four or more raise
-      UnsupportedModelError.
+      laws with equal or near-zero radii (3e-10); four or more raise ValueError.
     - Four-point phase with J <= 9 nonzero taps is exactly k / 4^J for the k of
       its 4^J equally likely atoms at or above gamma (one within 1e-12 below counts:
       |(1 + i)/sqrt(2)| = 1 may round an ulp low, so optimize_gamma may return
-      a threshold ~1e-12 above an atom); more taps raise UnsupportedModelError.
+      a threshold ~1e-12 above an atom); more taps raise ValueError.
     A negative or NaN gamma raises ValueError.
     """
     g = np.asarray(gamma, dtype=float)
@@ -236,12 +239,12 @@ def marginal_tail(model, gamma):
         elif len(radii) == 3:  # the middle circle outermost: |r1 - r2| > 0 unless all equal
             tail = _three_circle_tail(radii[0], radii[2], radii[1], g)
         else:
-            raise UnsupportedModelError(f"unit modulus with {len(radii)} circles: "
-                                        f"exact tails cover at most three")
+            raise ValueError(f"unit modulus with {len(radii)} circles: "
+                             f"exact tails cover at most three")
     else:
         nonzero = sum(1 for t in model.taps if t)
         if nonzero > _FOUR_POINT_MAX_TAPS:
-            raise UnsupportedModelError(
+            raise ValueError(
                 f"four-point phase with {nonzero} taps: exact tails "
                 f"enumerate 4^J atoms for at most {_FOUR_POINT_MAX_TAPS} taps")
         support = _marginal_samples(model)

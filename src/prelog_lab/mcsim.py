@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fading
-from .errors import DegenerateSampleError
+from .errors import NumericalError
 
 _STRATA = 64
 
@@ -36,8 +36,8 @@ def sample_inputs(n, peak, seed):
     """IID circularly-symmetric inputs with |X|^2 uniform on [0, peak^2]."""
     if n < 1:
         raise ValueError("need at least one sample")
-    if not peak > 0:
-        raise ValueError("peak amplitude must be positive")
+    if not 0 < peak < math.inf:
+        raise ValueError("peak amplitude must be positive and finite")
     rng = np.random.default_rng(seed)
     radius = peak * np.sqrt(rng.random(n))
     return radius * np.exp(2j * np.pi * rng.random(n))
@@ -75,7 +75,7 @@ def _kl_entropy_1d(values, k):
         np.minimum(eps, reach, out=eps)
     positive = eps > 0
     if np.count_nonzero(~positive) > 0.01 * n:
-        raise DegenerateSampleError(
+        raise NumericalError(
             "more than 1% duplicate points; differential entropy of a law "
             "with atoms is not defined")
     return float(np.sum(1.0 / np.arange(k, n)) + math.log(2.0)

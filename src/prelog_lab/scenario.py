@@ -19,7 +19,6 @@ import numpy as np
 
 from . import fading, spectra
 
-DEFAULT_FIT_TOLERANCE = 0.05
 DEFAULT_N_LIST = (128, 256, 512, 1024, 2048)
 DEFAULT_PATH_LENGTH = 65536
 DEFAULT_SEGMENT_LENGTH = 256
@@ -37,7 +36,6 @@ class Scenario:
     gamma: float | None  # the fixed threshold, None when optimized per snr
     outputs: tuple
     seed: int
-    fit_tolerance: float  # margin of the prelog verdict
     snr: float  # the szego snr, the first grid point unless given
     n_list: tuple
     mc_samples: int | None
@@ -65,36 +63,36 @@ def _complex_from(value):
     return complex(float(value[0]), float(value[1]))
 
 
-def _density_from_dict(data, where):
-    if data["kind"] == "constant":
-        return spectra.TrigPolyDensity((float(data["value"]),))
-    coeffs = tuple(_complex_from(c) if isinstance(c, list) else complex(float(c))
-                   for c in data["coeffs"])
+def _piece_from_dict(data, where):
+    dens = data["density"]
+    if dens["kind"] == "constant":
+        coeffs = (float(dens["value"]),)
+    else:
+        coeffs = tuple(_complex_from(c) if isinstance(c, list) else complex(float(c))
+                       for c in dens["coeffs"])
     try:
-        return spectra.TrigPolyDensity(coeffs)
+        return spectra.Piece(float(data["lo"]), float(data["hi"]), coeffs)
     except ValueError as exc:
         raise ScenarioError(f"{where}: {exc}") from None
 
 
 def _spectrum_from_dict(data):
-    pieces = []
-    for i, p in enumerate(data.get("pieces", [])):
-        dens = _density_from_dict(p["density"], f"$.model.spectrum.pieces[{i}].density")
-        pieces.append(spectra.Piece(float(p["lo"]), float(p["hi"]), dens))
+    pieces = tuple(_piece_from_dict(p, f"$.model.spectrum.pieces[{i}]")
+                   for i, p in enumerate(data.get("pieces", [])))
     masses = tuple((float(loc), float(w)) for loc, w in data.get("point_masses", []))
-    return spectra.SpectralDistribution(pieces=tuple(pieces), point_masses=masses)
+    return spectra.SpectralDistribution(pieces=pieces, point_masses=masses)
 
 
-def _density_to_dict(dens):
-    if dens.order == 0 and dens.coeffs[0].imag == 0:
-        return {"kind": "constant", "value": dens.coeffs[0].real}
-    return {"kind": "trig", "coeffs": [[c.real, c.imag] for c in dens.coeffs]}
+def _density_to_dict(piece):
+    if piece.order == 0 and piece.coeffs[0].imag == 0:
+        return {"kind": "constant", "value": piece.coeffs[0].real}
+    return {"kind": "trig", "coeffs": [[c.real, c.imag] for c in piece.coeffs]}
 
 
 def _spectrum_to_dict(spectrum):
     out = {}
     if spectrum.pieces:
-        out["pieces"] = [{"lo": p.lo, "hi": p.hi, "density": _density_to_dict(p.density)}
+        out["pieces"] = [{"lo": p.lo, "hi": p.hi, "density": _density_to_dict(p)}
                          for p in spectrum.pieces]
     if spectrum.point_masses:
         out["point_masses"] = [[loc, w] for loc, w in spectrum.point_masses]
@@ -156,7 +154,6 @@ def scenario_from_dict(data):
         gamma=None if gamma_mode == "optimized" else float(gamma_mode),
         outputs=tuple(data["outputs"]),
         seed=int(data.get("seed", 0)),
-        fit_tolerance=float(data.get("tolerances", {}).get("fit", DEFAULT_FIT_TOLERANCE)),
         snr=float(data.get("snr", snr_grid[0])),
         n_list=tuple(int(n) for n in data.get("n_list", DEFAULT_N_LIST)),
         mc_samples=int(data["mc_samples"]) if "mc_samples" in data else None,
@@ -174,7 +171,6 @@ def scenario_to_dict(scen):
         "gamma_mode": "optimized" if scen.gamma is None else scen.gamma,
         "outputs": list(scen.outputs),
         "seed": scen.seed,
-        "tolerances": {"fit": scen.fit_tolerance},
         "snr": scen.snr,
         "n_list": list(scen.n_list),
         "path_length": scen.path_length,

@@ -29,18 +29,25 @@ def _fourier_kernel(m, lo, hi):
 
 
 @dataclass(frozen=True)
-class TrigPolyDensity:
-    """Density sum_m g_m exp(i 2 pi m lambda), m = -K..K, with Hermitian g.
+class Piece:
+    """Density sum_m g_m exp(i 2 pi m lambda), m = -K..K, with Hermitian g,
+    on the interval [lo, hi] of [-1/2, 1/2].
 
-    A constant density c is the order-0 polynomial TrigPolyDensity((c,)).
+    A constant density c on [lo, hi] is the order-0 piece Piece(lo, hi, (c,)).
     """
 
+    lo: float
+    hi: float
     coeffs: tuple  # ordered m = -K .. K
 
     def __post_init__(self):
+        if not -0.5 - 1e-12 <= self.lo < self.hi <= 0.5 + 1e-12:
+            raise ValueError(f"piece [{self.lo}, {self.hi}] needs -1/2 <= lo < hi <= 1/2")
         g = np.asarray(self.coeffs, dtype=complex)
         if len(g) % 2 == 0:
             raise ValueError("trig coefficients must have odd length (m = -K..K)")
+        if not np.isfinite(g).all():
+            raise ValueError("trig coefficients must be finite")
         if np.any(np.abs(g - np.conj(g[::-1])) > 1e-12):
             raise ValueError("trig coefficients must be Hermitian: g[-m] = conj(g[m])")
 
@@ -63,19 +70,15 @@ class TrigPolyDensity:
     def is_zero(self):
         return all(c == 0 for c in self.coeffs)
 
-    def mass(self, lo, hi):
-        g = np.asarray(self.coeffs, dtype=complex)
-        return float(np.real(np.sum(g * _fourier_kernel(self._harmonics(), lo, hi))))
-
-    def fourier(self, m, lo, hi):
+    def fourier(self, m):
         """Integral of exp(i 2 pi m lambda) against the density over [lo, hi],
-        for an integer array m."""
+        for an integer array m; m = 0 gives the piece's mass."""
         acc = np.zeros(np.shape(m), dtype=complex)
         for k, g in zip(self._harmonics(), self.coeffs):
-            acc += g * _fourier_kernel(k + m, lo, hi)
+            acc += g * _fourier_kernel(k + m, self.lo, self.hi)
         return acc
 
-    def min_value(self, lo, hi):
+    def min_value(self):
         """Least value on [lo, hi], over both ends and the critical points
         inside.  With z = exp(i 2 pi lambda) the derivative is the polynomial
         sum_m i 2 pi m g_m z^m, whose roots' angles hold every critical point;
@@ -83,10 +86,11 @@ class TrigPolyDensity:
         roots = np.polynomial.polynomial.polyroots(
             2j * np.pi * self._harmonics() * np.asarray(self.coeffs, dtype=complex))
         lams = np.angle(roots) / (2 * np.pi)
+        lo, hi = self.lo, self.hi
         points = np.concatenate([[lo, hi], lams[(lams > lo) & (lams < hi)]])
         return float(np.min(self(points)))
 
-    def level_measures(self, lo, hi):
+    def level_measures(self):
         """Measures of {density >= 1} and {0 < density < 1} on [lo, hi].
 
         The density crosses 1 where the polynomial with the m = 0 coefficient
@@ -94,6 +98,7 @@ class TrigPolyDensity:
         """
         if self.is_zero:
             return (0.0, 0.0)
+        lo, hi = self.lo, self.hi
         g = np.array(self.coeffs, dtype=complex)
         g[self.order] -= 1.0
         if not np.any(g):
@@ -106,13 +111,6 @@ class TrigPolyDensity:
         ge1 = self(mids) >= 1.0
         lengths = np.diff(cuts)
         return (float(lengths[ge1].sum()), float(lengths[~ge1].sum()))
-
-
-@dataclass(frozen=True)
-class Piece:
-    lo: float
-    hi: float
-    density: TrigPolyDensity
 
 
 @dataclass(frozen=True)
@@ -137,15 +135,11 @@ class SpectralDistribution:
     point_masses: tuple = ()  # ((location, weight), ...)
 
     def __post_init__(self):
-        spans = []
         for p in self.pieces:
-            if not (-0.5 - 1e-12 <= p.lo < p.hi <= 0.5 + 1e-12):
-                raise ValueError(f"piece [{p.lo}, {p.hi}] outside [-1/2, 1/2]")
-            if p.density.min_value(p.lo, p.hi) < _DENSITY_FLOOR:
+            if p.min_value() < _DENSITY_FLOOR:
                 raise ValueError(f"negative density on [{p.lo}, {p.hi}]")
-            spans.append((p.lo, p.hi))
-        spans.sort()
-        for (a0, b0), (a1, _) in zip(spans, spans[1:]):
+        spans = sorted((p.lo, p.hi) for p in self.pieces)
+        for (_, b0), (a1, _) in zip(spans, spans[1:]):
             if a1 < b0 - 1e-12:
                 raise ValueError("piece intervals overlap")
         locs = [loc for loc, _ in self.point_masses]
@@ -154,14 +148,14 @@ class SpectralDistribution:
         for loc, w in self.point_masses:
             if not -0.5 <= loc <= 0.5:
                 raise ValueError(f"point mass at {loc} outside [-1/2, 1/2]")
-            if w < 0:
-                raise ValueError("point-mass weights must be nonnegative")
+            if not 0 <= w < np.inf:
+                raise ValueError("point-mass weights must be finite and nonnegative")
         total = self.total_mass()
-        if abs(total - 1.0) > MASS_TOL:
+        if not abs(total - 1.0) <= MASS_TOL:
             raise ValueError(f"total spectral mass is {total!r}, expected 1")
 
     def total_mass(self):
-        ac = sum(p.density.mass(p.lo, p.hi) for p in self.pieces)
+        ac = sum(float(p.fourier(0).real) for p in self.pieces)
         return ac + sum(w for _, w in self.point_masses)
 
 
@@ -194,7 +188,7 @@ def point_mass_spectrum(masses):
 def mixed_spectrum(bands, masses):
     """Constant-density (lo, hi, density) bands plus (location, weight) point
     masses, total mass 1."""
-    pieces = tuple(Piece(lo, hi, TrigPolyDensity((float(c),))) for lo, hi, c in bands)
+    pieces = tuple(Piece(lo, hi, (float(c),)) for lo, hi, c in bands)
     return SpectralDistribution(pieces=pieces,
                                 point_masses=tuple((float(l), float(w)) for l, w in masses))
 
@@ -209,13 +203,13 @@ def density_at(spectrum, lam):
         raise ValueError(f"lambda {lam} outside [-1/2, 1/2]")
     for p in spectrum.pieces:
         if p.lo <= lam <= p.hi:
-            return float(p.density(lam))
+            return float(p(lam))
     return 0.0
 
 
 def flat_set_measure(spectrum):
     """Lebesgue measure of the harmonic set where the density vanishes."""
-    support = sum(p.hi - p.lo for p in spectrum.pieces if not p.density.is_zero)
+    support = sum(p.hi - p.lo for p in spectrum.pieces if not p.is_zero)
     return max(0.0, 1.0 - support)
 
 
@@ -224,7 +218,7 @@ def partition_measures(spectrum):
     mu2 = 0.0
     mu3 = 0.0
     for p in spectrum.pieces:
-        m2, m3 = p.density.level_measures(p.lo, p.hi)
+        m2, m3 = p.level_measures()
         mu2 += m2
         mu3 += m3
     return HarmonicPartition(flat_set_measure(spectrum), mu2, mu3)
@@ -240,7 +234,7 @@ def autocovariances(spectrum, ms):
     ms = np.asarray(ms)
     out = np.zeros(ms.shape, dtype=complex)
     for p in spectrum.pieces:
-        out += p.density.fourier(ms, p.lo, p.hi)
+        out += p.fourier(ms)
     for loc, w in spectrum.point_masses:
         out += w * np.exp(2j * np.pi * ms * loc)
     return out
@@ -263,6 +257,6 @@ def cumulative(spectrum, lam):
     acc = 0.0
     for p in spectrum.pieces:
         if lam > p.lo:
-            acc += p.density.mass(p.lo, min(lam, p.hi))
+            acc += float(Piece(p.lo, min(lam, p.hi), p.coeffs).fourier(0).real)
     acc += sum(w for loc, w in spectrum.point_masses if loc <= lam)
     return acc

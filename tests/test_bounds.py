@@ -17,31 +17,31 @@ def quadrature_penalty(spectrum, snr):
     total = 0.0
     for p in spectrum.pieces:
         val, _ = scipy.integrate.quad(
-            lambda lam: math.log1p(snr * max(float(p.density(lam)), 0.0)),
+            lambda lam: math.log1p(snr * max(float(p(lam)), 0.0)),
             p.lo, p.hi, epsabs=1e-11, limit=400)
         total += val
     return total
 
 
-def fir_density(taps):
-    return fading.fir_model(taps).spectrum.pieces[0].density
+def fir_coeffs(taps):
+    return fading.fir_model(taps).spectrum.pieces[0].coeffs
 
 
-def arc_spectrum(density, lo, hi):
-    """density on [lo, hi] alone; a point mass, which has no penalty, makes up
-    the unit total mass."""
+def arc_spectrum(coeffs, lo, hi):
+    """The density of coeffs on [lo, hi] alone; a point mass, which has no
+    penalty, makes up the unit total mass."""
+    piece = spectra.Piece(lo, hi, coeffs)
     return spectra.SpectralDistribution(
-        pieces=(spectra.Piece(lo, hi, density),),
-        point_masses=((0.0, max(1.0 - density.mass(lo, hi), 0.0)),))
+        pieces=(piece,), point_masses=((0.0, max(1.0 - float(piece.fourier(0).real), 0.0)),))
 
 
-def mpmath_penalty(density, lo, hi, snr, splits=()):
+def mpmath_penalty(coeffs, lo, hi, snr, splits=()):
     """Independent oracle: 20-digit tanh-sinh quadrature of ln(1 + snr p) on
     [lo, hi] with p evaluated from the double coefficients, split where p has
     a zero so that its dip of width ~1/sqrt(snr) lies at a node cluster."""
     mpmath = pytest.importorskip("mpmath")
-    k = density.order
-    g = [mpmath.mpc(c.real, c.imag) for c in map(complex, density.coeffs)]
+    k = (len(coeffs) - 1) // 2
+    g = [mpmath.mpc(c.real, c.imag) for c in map(complex, coeffs)]
     with mpmath.workdps(20):
         def integrand(lam):
             p = mpmath.re(sum(gm * mpmath.expj(2 * mpmath.pi * (m - k) * lam)
@@ -54,9 +54,9 @@ def mpmath_penalty(density, lo, hi, snr, splits=()):
 # coefficients of 1 + snr p carry a rounding error ~eps * snr
 ROOTS_TOL = {1e2: 1e-10, 1e4: 1e-10, 1e8: 1e-10, 1e12: 1e-10, 1e14: 5e-9, 1e16: 1e-9}
 
-THREE_TAP = fir_density([1.0, 0.6 - 0.3j, -0.4j])
+THREE_TAP = fir_coeffs([1.0, 0.6 - 0.3j, -0.4j])
 # complex order 2, zero at 0.15 and at 0.35
-TWO_ZEROS = fir_density(np.convolve([1.0, -np.exp(2j * np.pi * 0.15)],
+TWO_ZEROS = fir_coeffs(np.convolve([1.0, -np.exp(2j * np.pi * 0.15)],
                                     [1.0, -np.exp(2j * np.pi * 0.35)]))
 
 
@@ -145,32 +145,31 @@ class TestPenaltySpectralRoots:
         want = math.log((1.0 + snr + math.sqrt(1.0 + 2.0 * snr)) / 2.0)
         assert got == pytest.approx(want, rel=0, abs=ROOTS_TOL[snr])
 
-    @pytest.mark.parametrize("density, lo, hi, splits", [
+    @pytest.mark.parametrize("coeffs, lo, hi, splits", [
         (THREE_TAP, -0.5, 0.5, ()),
         (THREE_TAP, -0.3, 0.45, ()),
         (THREE_TAP, 0.1, 0.5, ()),
         (TWO_ZEROS, -0.2, 0.35, (0.15,)),
     ], ids=["full-circle", "arc", "arc-to-half", "complex-zero-inside-and-at-end"])
-    def test_against_mpmath(self, density, lo, hi, splits):
-        spectrum = arc_spectrum(density, lo, hi)
+    def test_against_mpmath(self, coeffs, lo, hi, splits):
+        spectrum = arc_spectrum(coeffs, lo, hi)
         for snr, tol in ROOTS_TOL.items():
-            want = mpmath_penalty(density, lo, hi, snr, splits)
+            want = mpmath_penalty(coeffs, lo, hi, snr, splits)
             assert bounds.penalty_spectral(spectrum, snr) == \
                 pytest.approx(want, rel=0, abs=tol), snr
 
     def test_rounding_below_zero_gives_log_modulus(self):
         # p = (1 + cos)/2 - 1e-10 passes the -1e-9 density floor; with
         # 1 + snr p = A + B cos and A < B, the integral of ln|A + B cos| is ln(B/2)
-        density = spectra.TrigPolyDensity((0.25, 0.5 - 1e-10, 0.25))
-        spectrum = arc_spectrum(density, -0.5, 0.5)
+        spectrum = arc_spectrum((0.25, 0.5 - 1e-10, 0.25), -0.5, 0.5)
         for snr in (1e12, 1e16):
             assert bounds.penalty_spectral(spectrum, snr) == \
                 pytest.approx(math.log(snr / 4.0), rel=0, abs=1e-12)
 
     def test_zero_top_coefficients(self):
         # g_2 = g_-2 = 0: a root of Q at 0 and a lower degree, same integral
-        order_one = fir_density([1.0, 0.5j])
-        padded = spectra.TrigPolyDensity((0.0, *order_one.coeffs, 0.0))
+        order_one = fir_coeffs([1.0, 0.5j])
+        padded = (0.0, *order_one, 0.0)
         for lo, hi in ((-0.5, 0.5), (-0.3, 0.45)):
             want = bounds.penalty_spectral(arc_spectrum(order_one, lo, hi), 1e4)
             got = bounds.penalty_spectral(arc_spectrum(padded, lo, hi), 1e4)

@@ -196,9 +196,9 @@ class TestSzegoCommand:
                  "taps": [[complex(t).real, complex(t).imag] for t in taps]}
         orders = [64, 128, 256]
         path = write_scenario(tmp_path, model=model, snr=snr, n_list=orders)
-        density = scenario.load_scenario(path).model.spectrum.pieces[0].density
-        c = snr * np.asarray(density.coeffs, dtype=complex)
-        c[density.order] += 1.0
+        piece = scenario.load_scenario(path).model.spectrum.pieces[0]
+        c = snr * np.asarray(piece.coeffs, dtype=complex)
+        c[piece.order] += 1.0
         z = np.polynomial.polynomial.polyroots(c)
         w = 1.0 / z[np.abs(z) > 1.0]
         constant = -np.sum(np.log(1.0 - np.multiply.outer(w, np.conj(w)))).real

@@ -6,7 +6,6 @@ import pytest
 import scipy.integrate
 
 from prelog_lab import bounds, fading, mcsim, spectra
-from prelog_lab.errors import UnsupportedModelError
 
 
 # three circles of radii 0.83, 0.50 and 0.25: a tail by one phase integral
@@ -58,7 +57,7 @@ class TestFirModel:
             taps = rng.standard_normal(j) + 1j * rng.standard_normal(j)
             m = fading.fir_model(taps, fading.COMPLEX_GAUSSIAN)
             piece = m.spectrum.pieces[0]
-            val, _ = scipy.integrate.quad(lambda l: float(piece.density(l)),
+            val, _ = scipy.integrate.quad(lambda l: float(piece(l)),
                                           -0.5, 0.5, epsabs=1e-12, limit=200)
             assert val == pytest.approx(1.0, abs=1e-10)
 
@@ -156,7 +155,7 @@ class TestSimulatePath:
 
     def test_point_mass_spectrum_unsupported(self):
         f = spectra.mixed_spectrum([(-0.25, 0.25, 1.0)], [(0.25, 0.5)])
-        with pytest.raises(UnsupportedModelError):
+        with pytest.raises(ValueError, match="point masses is not ergodic"):
             fading.simulate_path(fading.gaussian_model(f), 64, seed=0)
 
     def test_embedding_cache_is_bounded_by_bytes(self):
@@ -306,9 +305,9 @@ class TestMarginalTail:
         monkeypatch.setattr(fading, "draw_marginal", None)
         misses = fading._marginal_samples.cache_info().misses
         m = fading.fir_model(np.ones(10), fading.FOUR_POINT_PHASE)
-        with pytest.raises(UnsupportedModelError, match="with 10 taps"):
+        with pytest.raises(ValueError, match="with 10 taps"):
             fading.marginal_tail(m, 1.0)
-        with pytest.raises(UnsupportedModelError):
+        with pytest.raises(ValueError, match="with 10 taps"):
             bounds.capacity_lower_bound(m, 100.0)
         assert fading._marginal_samples.cache_info().misses == misses
 
@@ -352,9 +351,9 @@ class TestMarginalTail:
         monkeypatch.setattr(fading, "draw_marginal", None)
         for taps, d in (([1.0, 0.6, 0.3j, 0.2], 0.0), (THREE_CIRCLES, 0.5)):
             m = fading.fir_model(taps, fading.UNIT_MODULUS, d=d)
-            with pytest.raises(UnsupportedModelError, match="with 4 circles"):
+            with pytest.raises(ValueError, match="with 4 circles"):
                 fading.marginal_tail(m, 1.0)
-            with pytest.raises(UnsupportedModelError):
+            with pytest.raises(ValueError, match="with 4 circles"):
                 bounds.capacity_lower_bound(m, 100.0)
 
     @pytest.mark.parametrize("taps, innovation, d", [
@@ -439,5 +438,21 @@ RAYLEIGH = fading.gaussian_model(spectra.white())
     (lambda: mcsim.sample_inputs(8, math.nan, 0), "peak amplitude must be positive"),
 ], ids=["tail-atoms", "tail-rayleigh", "bound", "coherent", "zero-mass", "inputs"])
 def test_nan_fails_the_positivity_guards(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+# NaN fails every < and > guard, so each constructor tests finiteness itself
+@pytest.mark.parametrize("call, message", [
+    (lambda: spectra.mixed_spectrum([(-0.25, 0.25, math.nan)], ()), "must be finite"),
+    (lambda: spectra.point_mass_spectrum([(0.0, math.nan)]), "finite and nonnegative"),
+    (lambda: spectra.point_mass_spectrum([(0.0, math.inf)]), "finite and nonnegative"),
+    (lambda: fading.fir_model([math.nan]), "of finite numbers"),
+    (lambda: fading.fir_model([math.inf]), "of finite numbers"),
+    (lambda: fading.gaussian_model(spectra.white(), d=complex(math.nan, 0.0)),
+     "mean must be finite"),
+    (lambda: mcsim.sample_inputs(8, math.inf, 0), "peak amplitude must be positive and finite"),
+], ids=["band-density", "atom-nan", "atom-inf", "taps-nan", "taps-inf", "mean", "inputs"])
+def test_non_finite_inputs_are_rejected(call, message):
     with pytest.raises(ValueError, match=message):
         call()

@@ -8,7 +8,7 @@ import scipy.signal
 from scipy import integrate, special, stats
 
 from prelog_lab import bounds, fading, mcsim, spectra
-from prelog_lab.errors import DegenerateSampleError
+from prelog_lab.errors import NumericalError
 from prelog_lab.scenario import load_scenario
 
 LN_PI_E = math.log(math.pi * math.e)
@@ -149,7 +149,7 @@ class TestKlEntropy1d:
     def test_duplicates_beyond_one_percent_are_degenerate(self):
         x = np.random.default_rng(202).standard_normal(400)
         x[200:] = x[0]
-        with pytest.raises(DegenerateSampleError):
+        with pytest.raises(NumericalError, match="more than 1% duplicate points"):
             mcsim._kl_entropy_1d(x, 4)
 
     def test_isolated_duplicates_are_tolerated(self):

@@ -5,6 +5,7 @@ stays deterministic; conftest.py keeps hypothesis's other files in pytest's
 cache directory, or in a temporary one when that cache is off.
 """
 
+import copy
 import json
 import os
 import pathlib
@@ -160,7 +161,6 @@ def scenario_dicts(draw):
     optional = {
         "gamma_mode": st.just("optimized") | st.floats(0.01, 10.0),
         "seed": st.integers(0, 2**32),
-        "tolerances": st.floats(1e-3, 1.0).map(lambda fit: {"fit": fit}),
         "snr": snrs,
         "n_list": st.lists(st.integers(1, 4096), min_size=1, max_size=4),
         "mc_samples": st.integers(1, 10**6),
@@ -181,6 +181,86 @@ def test_scenario_dump_then_load_is_the_identity(data):
     again = scenario.scenario_from_dict(json.loads(dumped))
     assert again == scen
     assert json.dumps(scenario.scenario_to_dict(again)) == dumped
+
+
+def _property_names(node):
+    """Every key that some object of the schema declares."""
+    if isinstance(node, list):
+        return set().union(*map(_property_names, node))
+    if not isinstance(node, dict):
+        return set()
+    return set(node.get("properties", {})).union(*map(_property_names, node.values()))
+
+
+SCHEMA_KEYS = _property_names(json.loads(
+    (pathlib.Path(scenario.__file__).parent / "schema" / "scenario.schema.json").read_text()))
+# a valid field that the other kind of the same object reads
+FOREIGN = {"gaussian": {"taps": [[1.0, 0.0]], "innovation": "unit_modulus"},
+           "fir": {"spectrum": {}}, "constant": {"coeffs": [1.0]}, "trig": {"value": 1.0}}
+
+
+def scenario_objects(data):
+    """(path, object, required keys) for every object of a scenario dict."""
+    model = data["model"]
+    out = [((), data, {"name", "model", "snr_grid", "outputs"}),
+           (("model",), model, {"kind", "spectrum" if model["kind"] == "gaussian" else "taps"})]
+    if isinstance(data["snr_grid"], dict):
+        out.append((("snr_grid",), data["snr_grid"], {"start", "stop", "points"}))
+    if "spectrum" in model:
+        out.append((("model", "spectrum"), model["spectrum"], set()))
+        for i, piece in enumerate(model["spectrum"]["pieces"]):
+            out.append((("model", "spectrum", "pieces", i), piece, {"lo", "hi", "density"}))
+            dens = piece["density"]
+            out.append((("model", "spectrum", "pieces", i, "density"), dens,
+                        {"kind", "value" if dens["kind"] == "constant" else "coeffs"}))
+    return out
+
+
+@st.composite
+def rejected_scenarios(draw):
+    """A scenario_dicts() example with one fault in one of its objects: an
+    unknown key, a field of the other kind, a dropped required key, a value of
+    no allowed type, or no kind but both kinds' fields.  Returns the scenario,
+    the object's path and the offending key."""
+    data = draw(scenario_dicts())
+    path, obj, required = draw(st.sampled_from(scenario_objects(data)[::-1]), label="object")
+    faults = ["other kind", "no kind"] * ("kind" in obj) + ["missing"] * bool(required)
+    faults += ["wrong type", "unknown"]
+    fault = draw(st.sampled_from(faults), label="fault")
+    if fault == "unknown":
+        key = draw(st.text(min_size=1, max_size=6).filter(lambda k: k not in SCHEMA_KEYS),
+                   label="key")
+        obj[key] = 0
+    elif fault == "wrong type":
+        key = draw(st.sampled_from(sorted(obj)), label="key")
+        obj[key] = draw(st.sampled_from([None, True]), label="value")
+    elif fault == "missing":
+        key = draw(st.sampled_from(sorted(required)), label="key")
+        del obj[key]
+    elif fault == "other kind":
+        key, value = draw(st.sampled_from(sorted(FOREIGN[obj["kind"]].items())), label="key")
+        obj[key] = copy.deepcopy(value)
+    else:
+        kinds = ("gaussian", "fir") if obj["kind"] in ("gaussian", "fir") else ("constant", "trig")
+        for kind in kinds:
+            for field, value in FOREIGN[kind].items():
+                obj.setdefault(field, copy.deepcopy(value))
+        key = "kind"
+        del obj[key]
+    return data, path, key
+
+
+@settings(PROPERTY, max_examples=100)
+@given(rejected_scenarios())
+def test_rejected_scenario_names_the_offending_field(case):
+    # the error sits at the faulty object and names the key after that location,
+    # as the next path element or quoted in the message
+    data, path, key = case
+    with pytest.raises(scenario.ScenarioError) as info:
+        scenario.scenario_from_dict(data)
+    loc = "$" + "".join(f"[{p!r}]" for p in path)
+    text = str(info.value)
+    assert text.startswith(loc) and repr(key) in text[len(loc):], text
 
 
 def test_no_cacheprovider_run_writes_no_hypothesis_dir(tmp_path):

@@ -62,7 +62,6 @@ class TestRoundTrips:
         scen = scenario.scenario_from_dict(minimal_dict())
         assert scen.gamma is None
         assert scen.seed == 0
-        assert scen.fit_tolerance == scenario.DEFAULT_FIT_TOLERANCE == 0.05
         assert scen.snr == scen.snr_grid[0] == 10.0
         assert scen.mc_samples is None
         assert scen.n_list == scenario.DEFAULT_N_LIST
@@ -73,9 +72,8 @@ class TestRoundTrips:
         scen = scenario.scenario_from_dict(minimal_dict())
         out = scenario.scenario_to_dict(scen)
         assert out["snr"] == out["snr_grid"][0] == 10.0
-        assert out["tolerances"] == {"fit": 0.05}
         assert out["gamma_mode"] == "optimized"
-        assert "mc_samples" not in out
+        assert "mc_samples" not in out and "tolerances" not in out
         assert scenario.scenario_from_dict(out) == scen
 
 
@@ -135,7 +133,7 @@ class TestValidationMessages:
         data["model"]["spectrum"]["pieces"][0]["density"] = {
             "kind": "trig", "coeffs": [[0.0, 0.0], [1.0, 0.0]]}
         with pytest.raises(ScenarioError,
-                           match=r"\$\.model\.spectrum\.pieces\[0\]\.density: .*odd length"):
+                           match=r"\$\.model\.spectrum\.pieces\[0\]: .*odd length"):
             scenario.scenario_from_dict(data)
 
     def test_non_hermitian_trig_coefficients_rejected(self):
@@ -143,7 +141,7 @@ class TestValidationMessages:
         data["model"]["spectrum"]["pieces"][0]["density"] = {
             "kind": "trig", "coeffs": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]}
         with pytest.raises(ScenarioError,
-                           match=r"\$\.model\.spectrum\.pieces\[0\]\.density: .*Hermitian"):
+                           match=r"\$\.model\.spectrum\.pieces\[0\]: .*Hermitian"):
             scenario.scenario_from_dict(data)
 
     def test_polynomial_density_rejected(self):
@@ -155,9 +153,17 @@ class TestValidationMessages:
                                  r"\['density'\]\['kind'\]"):
             scenario.scenario_from_dict(data)
 
-    def test_misspelt_tolerance_rejected(self):
-        with pytest.raises(ScenarioError, match=r"\$\['tolerances'\]: .*'fitt'"):
-            scenario.scenario_from_dict(minimal_dict(tolerances={"fitt": 0.5}))
+    def test_misspelt_piece_field_rejected(self):
+        data = minimal_dict()
+        data["model"]["spectrum"]["pieces"][0]["hii"] = 0.5
+        with pytest.raises(ScenarioError,
+                           match=r"\$\['model'\]\['spectrum'\]\['pieces'\]\[0\]: .*'hii'"):
+            scenario.scenario_from_dict(data)
+
+    def test_tolerances_rejected(self):
+        # the prelog verdict's margin is fixed; a scenario cannot set it
+        with pytest.raises(ScenarioError, match=r"^\$: .*'tolerances' was unexpected"):
+            scenario.scenario_from_dict(minimal_dict(tolerances={"fit": 0.1}))
 
     def test_gamma_mode_accepts_number_or_optimized(self):
         scen = scenario.scenario_from_dict(minimal_dict(gamma_mode=0.5))
@@ -269,12 +275,6 @@ class TestScenarioObject:
         with pytest.raises(ScenarioError):
             scen.with_seed(-1)
 
-    def test_tolerance_accessor(self):
-        scen = scenario.scenario_from_dict(minimal_dict(tolerances={"fit": 0.1}))
-        assert scen.fit_tolerance == 0.1
-        default = scenario.scenario_from_dict(minimal_dict())
-        assert default.fit_tolerance == 0.05
-
     def test_trig_spectrum_parses_to_model(self):
         data = minimal_dict()
         data["model"]["spectrum"] = {
@@ -283,10 +283,10 @@ class TestScenarioObject:
                                     "coeffs": [[0.5, 0.0], [1.0, 0.0],
                                                [0.5, 0.0]]}}]}
         scen = scenario.scenario_from_dict(data)
-        dens = scen.model.spectrum.pieces[0].density
-        assert isinstance(dens, spectra.TrigPolyDensity)
-        assert dens(0.0) == pytest.approx(2.0)
-        assert dens(0.5) == pytest.approx(0.0, abs=1e-12)
+        piece = scen.model.spectrum.pieces[0]
+        assert isinstance(piece, spectra.Piece)
+        assert piece(0.0) == pytest.approx(2.0)
+        assert piece(0.5) == pytest.approx(0.0, abs=1e-12)
 
     def test_point_mass_round_trip(self):
         data = minimal_dict(model={

@@ -15,10 +15,10 @@ def quadrature_autocovariance(spectrum, m):
     total = 0.0 + 0.0j
     for p in spectrum.pieces:
         re, _ = scipy.integrate.quad(
-            lambda lam: p.density(lam) * math.cos(2 * math.pi * m * lam),
+            lambda lam: p(lam) * math.cos(2 * math.pi * m * lam),
             p.lo, p.hi, epsabs=1e-12, limit=400)
         im, _ = scipy.integrate.quad(
-            lambda lam: p.density(lam) * math.sin(2 * math.pi * m * lam),
+            lambda lam: p(lam) * math.sin(2 * math.pi * m * lam),
             p.lo, p.hi, epsabs=1e-12, limit=400)
         total += re + 1j * im
     for loc, w in spectrum.point_masses:
@@ -95,7 +95,7 @@ class TestAutocovariance:
 
     def test_trig_piece_against_quadrature(self):
         f = spectra.SpectralDistribution(pieces=(
-            spectra.Piece(-0.5, 0.5, spectra.TrigPolyDensity((0.5, 1.0, 0.5))),))
+            spectra.Piece(-0.5, 0.5, (0.5, 1.0, 0.5)),))
         assert spectra.autocovariance(f, 1) == pytest.approx(0.5, abs=1e-12)
         for m in (0, 1, 2, 5):
             assert abs(spectra.autocovariance(f, m)
@@ -175,7 +175,7 @@ class TestPartitionMeasures:
     def test_trig_level_set(self):
         # density 1 + cos(2 pi lam) is >= 1 exactly on |lam| <= 1/4
         f = spectra.SpectralDistribution(pieces=(
-            spectra.Piece(-0.5, 0.5, spectra.TrigPolyDensity((0.5, 1.0, 0.5))),))
+            spectra.Piece(-0.5, 0.5, (0.5, 1.0, 0.5)),))
         p = spectra.partition_measures(f)
         assert p.mu_s1 == 0.0
         assert p.mu_s2 == pytest.approx(0.5, abs=1e-9)
@@ -209,7 +209,7 @@ class TestValidation:
         # 1 + 1.5 cos(2 pi lam) has unit mass and dips to -1/2 at lam = 1/2
         with pytest.raises(ValueError, match="negative"):
             spectra.SpectralDistribution(pieces=(
-                spectra.Piece(-0.5, 0.5, spectra.TrigPolyDensity((0.75, 1.0, 0.75))),))
+                spectra.Piece(-0.5, 0.5, (0.75, 1.0, 0.75)),))
 
     def test_narrow_negative_dip_between_samples_rejected(self):
         # 1 + (1 + d) cos 2 pi (lam - lam0) dips to -d = -1e-7, 100 times the
@@ -217,33 +217,33 @@ class TestValidation:
         # [-1/2, 1/2], where a grid reads about +1.9e-7
         d, lam_min = 1e-7, 0.5 / 4096
         g1 = (1 + d) / 2 * np.exp(-2j * np.pi * (lam_min - 0.5))
-        dens = spectra.TrigPolyDensity((np.conj(g1), 1.0, g1))
-        assert float(np.min(dens(np.linspace(-0.5, 0.5, 4097)))) > 1e-7
-        assert dens.min_value(-0.5, 0.5) == pytest.approx(-d, abs=1e-15)
+        piece = spectra.Piece(-0.5, 0.5, (np.conj(g1), 1.0, g1))
+        assert float(np.min(piece(np.linspace(-0.5, 0.5, 4097)))) > 1e-7
+        assert piece.min_value() == pytest.approx(-d, abs=1e-15)
         with pytest.raises(ValueError, match="negative"):
-            spectra.SpectralDistribution(pieces=(spectra.Piece(-0.5, 0.5, dens),))
+            spectra.SpectralDistribution(pieces=(piece,))
 
     def test_min_value_never_above_a_dense_grid(self, rng):
         for _ in range(200):
             k = int(rng.integers(1, 5))
             g = rng.standard_normal(2 * k + 1) + 1j * rng.standard_normal(2 * k + 1)
-            dens = spectra.TrigPolyDensity(tuple((g + np.conj(g[::-1])) / 2))
             lo, hi = np.sort(rng.uniform(-0.5, 0.5, 2))
-            dense = float(np.min(dens(np.linspace(lo, hi, 20001))))
-            assert dens.min_value(lo, hi) <= dense + 1e-12
+            piece = spectra.Piece(lo, hi, tuple((g + np.conj(g[::-1])) / 2))
+            dense = float(np.min(piece(np.linspace(lo, hi, 20001))))
+            assert piece.min_value() <= dense + 1e-12
 
     def test_non_hermitian_coefficients_rejected(self):
         # g = (0, 1, i) would evaluate to 1 - sin(2 pi lam) while its
         # autocovariances, r(-1) = i and r(1) = 0, belong to no real density
         with pytest.raises(ValueError, match="Hermitian"):
-            spectra.TrigPolyDensity((0.0, 1.0, 1j))
+            spectra.Piece(-0.5, 0.5, (0.0, 1.0, 1j))
         with pytest.raises(ValueError, match="Hermitian"):
-            spectra.TrigPolyDensity((1.0 + 1e-9j,))
+            spectra.Piece(-0.5, 0.5, (1.0 + 1e-9j,))
 
     def test_even_coefficient_count_rejected(self):
         # (1, 1) is Hermitian under reversal but names no harmonics m = -K..K
         with pytest.raises(ValueError, match="odd length"):
-            spectra.TrigPolyDensity((1.0, 1.0))
+            spectra.Piece(-0.5, 0.5, (1.0, 1.0))
 
     def test_point_mass_location_domain(self):
         with pytest.raises(ValueError):
