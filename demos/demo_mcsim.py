@@ -1,10 +1,12 @@
 """Monte Carlo checks: entropy estimation, coherent MI, spectral fidelity.
 
 The stratified estimate of I(X1; Y1 | H1), a 1-D k-NN entropy of |Y|^2 per
-fading draw, is calibrated on unit-modulus fading, where the exact value
-comes from a radial quadrature of the output density; it then must dominate
-the analytic coherent term under Rayleigh fading.  A Welch periodogram closes
-the loop on the path simulator.
+fading draw with |Y|^2 drawn from its radial law, is calibrated on
+unit-modulus fading, where the exact value comes from a radial quadrature of
+the output density; it then must dominate the analytic coherent term under
+Rayleigh fading (whose exact values, 1.444020 / 3.260327 / 5.403379 nats at
+snr 10 / 100 / 1000, the tests pin).  A Welch periodogram closes the loop on
+the path simulator.
 """
 import numpy as np
 

@@ -148,9 +148,12 @@ def _gaussian_path(spectrum, n, rng):
             raise NumericalError(
                 f"circulant embedding still not PSD at order {order}")
         order *= 2
-    xi = rng.standard_normal(order) + 1j * rng.standard_normal(order)
-    path = np.sqrt(order / 2.0) * np.fft.ifft(np.sqrt(lam) * xi)
-    return path[:n]
+    a, b = rng.standard_normal(2 * order).reshape(2, order)  # the stream of two draws
+    root = np.sqrt(lam)
+    xi = np.empty(order, dtype=complex)
+    np.multiply(root, a, out=xi.real)
+    np.multiply(root, b, out=xi.imag)
+    return np.sqrt(order / 2.0) * np.fft.ifft(xi)[:n]
 
 
 def simulate_path(model, n, seed):

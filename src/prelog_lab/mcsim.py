@@ -1,16 +1,18 @@
 """Monte Carlo channel simulation and nonparametric information estimates.
 
-These routines validate the analytic chain numerically: the peak-limited
-input ensemble (circularly symmetric, |X|^2 uniform on [0, A^2]), the channel
-Y = H X + Z, the stratified estimate of the coherent mutual information
-I(X1; Y1 | H1), and a Welch spectral check of simulated fading paths.  The
-coherent MI uses the circular symmetry of Y given H: h(Y) = h(|Y|^2) + ln pi,
-with a 1-D k-nearest-neighbor entropy estimate on the sorted |Y|^2.
+These routines validate the analytic chain numerically: the stratified
+estimate of the coherent mutual information I(X1; Y1 | H1) under the
+peak-limited input ensemble (circularly symmetric, |X|^2 uniform on [0, A^2])
+and the channel Y = H X + Z, and a Welch spectral check of simulated fading
+paths.  The coherent MI uses the circular symmetry of Y given H: h(Y) =
+h(|Y|^2) + ln pi, with a 1-D k-nearest-neighbor entropy estimate on the sorted
+|Y|^2, and |Y|^2 is drawn from its radial law, two real normals a sample.
 Everything is a pure function of its seed.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,27 +32,6 @@ class EntropyEstimate:
     def __post_init__(self):
         if not self.standard_error > 0:
             raise ValueError("standard error must be positive")
-
-
-def sample_inputs(n, peak, seed):
-    """IID circularly-symmetric inputs with |X|^2 uniform on [0, peak^2]."""
-    if n < 1:
-        raise ValueError("need at least one sample")
-    if not 0 < peak < math.inf:
-        raise ValueError("peak amplitude must be positive and finite")
-    rng = np.random.default_rng(seed)
-    radius = peak * np.sqrt(rng.random(n))
-    return radius * np.exp(2j * np.pi * rng.random(n))
-
-
-def simulate_channel(x, h, seed):
-    """Y_k = H_k X_k + Z_k with fresh unit-variance circularly-symmetric
-    Gaussian noise: the MI depends on the channel only through the snr."""
-    if len(x) != len(h):
-        raise ValueError("input and fading sequences must have equal length")
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal(len(x)) + 1j * rng.standard_normal(len(x))
-    return h * x + math.sqrt(0.5) * z
 
 
 def _kl_entropy_1d(values, k):
@@ -78,8 +59,27 @@ def _kl_entropy_1d(values, k):
         raise NumericalError(
             "more than 1% duplicate points; differential entropy of a law "
             "with atoms is not defined")
-    return float(np.sum(1.0 / np.arange(k, n)) + math.log(2.0)
-                 + np.mean(np.log(eps[positive])))
+    return float(_harmonic(k, n) + math.log(2.0) + np.mean(np.log(eps[positive])))
+
+
+@functools.lru_cache(maxsize=16)
+def _harmonic(k, n):
+    """digamma(n) - digamma(k) for integers: the sum of 1/j for j = k..n-1."""
+    return np.sum(1.0 / np.arange(k, n))
+
+
+def _radial_power(rho, count, rng):
+    """count draws of |Y|^2 for Y = h X + Z with X uniform on the disk of radius
+    sqrt(snr), |h| sqrt(snr) = rho and Z ~ CN(0, 1): rotating Y by the phase of
+    h X leaves Z's law alone, so |Y|^2 = (rho sqrt(U) + Z1 / sqrt(2))^2 +
+    (Z2 / sqrt(2))^2 with U uniform and Z1, Z2 standard normal.  Two real
+    normals a sample, no complex exponential; the radial amplitude rho sqrt(U)
+    never exceeds rho."""
+    radius = rho * np.sqrt(rng.random(count))
+    z = rng.standard_normal((2, count))
+    z *= math.sqrt(0.5)
+    z[0] += radius
+    return z[0] * z[0] + z[1] * z[1]
 
 
 def estimate_coherent_mi(model, snr, n_samples, seed):
@@ -91,8 +91,27 @@ def estimate_coherent_mi(model, snr, n_samples, seed):
     with its own block of channel samples and its own seed stream derived from
     (seed, stratum index), so the result is independent of execution order.
     Given H, Y is circularly symmetric, so each stratum's h(Y) is the 1-D
-    k-NN entropy of |Y|^2 plus ln pi.  The estimate is mean stratum entropy
-    minus ln(pi e); its standard error is the stratum spread over sqrt(64).
+    k-NN entropy of |Y|^2 plus ln pi, with |Y|^2 drawn from its radial law
+    (_radial_power).  The estimate is mean stratum entropy minus ln(pi e);
+    its standard error is the stratum spread over sqrt(64).
+
+    Bias against the exact coherent MI (radial quadrature): the mean over
+    seeds [s, 17], s = 0..9, minus the exact value, in nats, at snr 10 / 100 /
+    1000:
+
+    | n_samples | unit modulus                | white Rayleigh              |
+    |-----------|-----------------------------|-----------------------------|
+    | 1e4       | -0.0084 / -0.0032 / +0.0013 | -0.0120 / -0.0136 / -0.0096 |
+    | 1e5       | -0.0009 / +0.0003 / -0.0007 | -0.0061 / -0.0105 / -0.0094 |
+    | 1e6       | +0.0002 / +0.0002 / +0.0001 | -0.0055 / -0.0091 / -0.0088 |
+
+    A unit-modulus estimate spreads over seeds by 0.007-0.011 nats at 1e4 and
+    0.0006-0.001 at 1e6, so a mean of 10 is good to a third of that: only
+    -0.0084 (1e4, snr 10, 156 samples a stratum) stands out.  A Rayleigh
+    estimate spreads by 0.08-0.11 nats at every n, set by the 64 fading
+    draws, which a seed shares across n, so its bias is not resolved here.
+    Every Rayleigh estimate lies within 1.4 SE of the exact value, every
+    unit-modulus one within 2.4 SE at 1e6 (3.2 at 1e4).
     """
     if not 0 < snr < math.inf:
         raise ValueError(f"snr must be positive and finite, got {snr!r}")
@@ -104,11 +123,8 @@ def estimate_coherent_mi(model, snr, n_samples, seed):
 
     def stratum(m):
         rng = np.random.default_rng(base + [m])
-        h = fading.draw_marginal(model, 1, rng)[0]
-        x = sample_inputs(per, peak, rng)
-        y = simulate_channel(x, np.full(per, h), rng)
-        power = y.real * y.real + y.imag * y.imag
-        return _kl_entropy_1d(power, k=4) + math.log(math.pi)
+        rho = abs(fading.draw_marginal(model, 1, rng)[0]) * peak
+        return _kl_entropy_1d(_radial_power(rho, per, rng), k=4) + math.log(math.pi)
 
     entropies = np.array([stratum(m) for m in range(_STRATA)])
     mi = float(entropies.mean() - math.log(math.pi * math.e))

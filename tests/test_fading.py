@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from prelog_lab import bounds, fading, mcsim, spectra
+from prelog_lab import bounds, fading, spectra
 
 
 # three circles of radii 0.83, 0.50 and 0.25: a tail by one phase integral
@@ -152,6 +152,23 @@ class TestSimulatePath:
             want = spectra.autocovariance(m.spectrum, lag)
             got = empirical_autocov(path, lag)
             assert abs(got - want) < 5 * se
+
+    @pytest.mark.parametrize("spectrum", [spectra.white(), spectra.flat_band(0.25)],
+                             ids=["white", "flat_band"])
+    @pytest.mark.parametrize("n", [1, 500, 4096])
+    def test_gaussian_path_keeps_its_bytes(self, spectrum, n):
+        # the Gaussian branch as three lines of complex arithmetic, the oracle
+        # of the one-draw, in-place form: the same draws, the same products,
+        # the same transform, bit for bit
+        rng = np.random.default_rng(21)
+        order = 1 << max(int(np.ceil(np.log2(max(8 * n, 16)))), 4)
+        while not fading._embedding_eigenvalues(spectrum, order)[1]:
+            order *= 2  # a short band-limited path needs a doubling or two
+        lam = fading._embedding_eigenvalues(spectrum, order)[0]
+        xi = rng.standard_normal(order) + 1j * rng.standard_normal(order)
+        want = (np.sqrt(order / 2.0) * np.fft.ifft(np.sqrt(lam) * xi))[:n]
+        got = fading.simulate_path(fading.gaussian_model(spectrum), n, seed=21)
+        assert got.tobytes() == want.tobytes()
 
     def test_point_mass_spectrum_unsupported(self):
         f = spectra.mixed_spectrum([(-0.25, 0.25, 1.0)], [(0.25, 0.5)])
@@ -435,8 +452,7 @@ RAYLEIGH = fading.gaussian_model(spectra.white())
      "gamma must be nonnegative"),
     (lambda: bounds.coherent_term(100.0, math.nan, 0.5), "gamma must be positive"),
     (lambda: fading.zero_mass_check(RAYLEIGH, math.nan), "epsilon must be positive"),
-    (lambda: mcsim.sample_inputs(8, math.nan, 0), "peak amplitude must be positive"),
-], ids=["tail-atoms", "tail-rayleigh", "bound", "coherent", "zero-mass", "inputs"])
+], ids=["tail-atoms", "tail-rayleigh", "bound", "coherent", "zero-mass"])
 def test_nan_fails_the_positivity_guards(call, message):
     with pytest.raises(ValueError, match=message):
         call()
@@ -451,8 +467,7 @@ def test_nan_fails_the_positivity_guards(call, message):
     (lambda: fading.fir_model([math.inf]), "of finite numbers"),
     (lambda: fading.gaussian_model(spectra.white(), d=complex(math.nan, 0.0)),
      "mean must be finite"),
-    (lambda: mcsim.sample_inputs(8, math.inf, 0), "peak amplitude must be positive and finite"),
-], ids=["band-density", "atom-nan", "atom-inf", "taps-nan", "taps-inf", "mean", "inputs"])
+], ids=["band-density", "atom-nan", "atom-inf", "taps-nan", "taps-inf", "mean"])
 def test_non_finite_inputs_are_rejected(call, message):
     with pytest.raises(ValueError, match=message):
         call()
