@@ -20,10 +20,10 @@ for name, half in (("flat_band(0.1)", 0.1), ("flat_band(0.25)", 0.25),
     print(f"  extrapolated intercept = {est.intercept:.4f}\n")
 
 # the penalty_ratio decomposition explains the gap: the integral divided by
-# ln(snr) tends to mu_s2 + mu_s3, the complement of the flat set
+# ln(snr) tends to 1 - mu_flat, the complement of the flat set
 spectrum = spectra.flat_band(0.25)
 report = asymptotics.limit_ratio_check(spectrum, [1e6, 1e9, 1e12], tol=0.02)
-print(f"penalty/ln(snr) -> mu_s2 + mu_s3 = {report.target:.2f}:"
+print(f"penalty/ln(snr) -> 1 - mu_flat = {report.target:.2f}:"
       f" ratios {[round(r, 4) for r in report.ratios]}"
       f" converged={report.converged}")
 

@@ -20,9 +20,8 @@ for lam in (-0.4, -0.2, 0.0, 0.2, 0.4):
 
 print("\nflat-set measures (= Gaussian pre-logs)")
 for name, f in (("flat_band(1/4)", fb), ("white", wh), ("mixed", mixed)):
-    part = spectra.partition_measures(f)
-    print(f"  {name:15s} mu_s1={part.mu_s1:.3f} mu_s2={part.mu_s2:.3f}"
-          f" mu_s3={part.mu_s3:.3f}")
+    mu_flat = spectra.flat_set_measure(f)
+    print(f"  {name:15s} mu_flat={mu_flat:.3f}  1 - mu_flat={1 - mu_flat:.3f}")
 
 print("\nautocovariances of the flat band (sampled sinc)")
 lags = np.arange(6)

@@ -32,6 +32,7 @@ INNOVATION_LAWS = (COMPLEX_GAUSSIAN, UNIT_MODULUS, FOUR_POINT_PHASE)
 _FOUR_POINTS = np.array([1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j])
 
 _FOUR_POINT_MAX_TAPS = 9  # 4^9 = 262,144 atoms, 2 MiB a table; each tap more quadruples it
+_RICE_MAX_MEAN = 5e4  # from |d| ~ 5.25e4 chndtr returns NaN for some gamma near |d| + 18
 _EMBED_CAP = 2**20
 _EMBED_CLIP_TOL = 1e-4  # relative eigenvalue mass clipped to zero in the embedding
 # tanh-sinh rule for a mean over [0, 1]: nodes s = (1 + tanh(pi/2 sinh t)) / 2, t on 96 points
@@ -207,7 +208,9 @@ def marginal_tail(model, gamma):
     of gamma's shape.
 
     - Gaussian marginals are Rayleigh or Rice, exact (filtered complex Gaussian
-      innovations too: a unit-power filter preserves the law).
+      innovations too: a unit-power filter preserves the law).  A Rice mean
+      needs |d| <= 5e4, where the tail is within 4e-16 |d| + 1e-15 of 30-digit
+      quadrature at every gamma; a larger |d| raises ValueError.
     - Unit modulus has a circle per nonzero term of d + sum_j a_j W_j: a step at
       r for one; for two, |H1| = |r1 + r2 e^{i psi}| with psi uniform and tail
       arccos((gamma^2 - r1^2 - r2^2) / (2 r1 r2)) / pi clipped to [0, 1], which
@@ -228,6 +231,9 @@ def marginal_tail(model, gamma):
         if model.mean == 0:
             tail = np.exp(-g * g)
         else:
+            if abs(model.mean) > _RICE_MAX_MEAN:
+                raise ValueError(f"Rice tail with |mean| {abs(model.mean):.6g}: exact "
+                                 f"tails cover |mean| <= {_RICE_MAX_MEAN:g}")
             import scipy.special  # here, not at the top: only a Rice tail needs it
 
             # scipy.stats.rice.sf(g, sqrt(2)|d|, scale=sqrt(1/2)), by its own formula

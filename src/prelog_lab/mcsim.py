@@ -93,7 +93,9 @@ def estimate_coherent_mi(model, snr, n_samples, seed):
     Given H, Y is circularly symmetric, so each stratum's h(Y) is the 1-D
     k-NN entropy of |Y|^2 plus ln pi, with |Y|^2 drawn from its radial law
     (_radial_power).  The estimate is mean stratum entropy minus ln(pi e);
-    its standard error is the stratum spread over sqrt(64).
+    its standard error is the stratum spread over sqrt(64).  Each stratum
+    takes n_samples // 64 samples, so 64 * (n_samples // 64) are drawn in
+    all: 100000 runs 99968.
 
     Bias against the exact coherent MI (radial quadrature): the mean over
     seeds [s, 17], s = 0..9, minus the exact value, in nats, at snr 10 / 100 /

@@ -3,9 +3,8 @@
 A spectral distribution is represented exactly as a collection of absolutely
 continuous pieces (trigonometric-polynomial densities on disjoint
 sub-intervals, a constant being the order-0 case) plus a finite set of point
-masses.  Every quantity derived here -- masses, autocovariances, level-set
-measures -- is computed in closed form from that representation, so flat-set
-measures and the harmonic partition carry no quadrature error.
+masses.  Masses, autocovariances and flat-set measures are computed in closed
+form from that representation, so they carry no quadrature error.
 
 Conventions: unit total mass (unit-variance fading), natural logarithms, and
 autocovariance(m) = integral of exp(i 2 pi m lambda) against the distribution.
@@ -89,42 +88,6 @@ class Piece:
         lo, hi = self.lo, self.hi
         points = np.concatenate([[lo, hi], lams[(lams > lo) & (lams < hi)]])
         return float(np.min(self(points)))
-
-    def level_measures(self):
-        """Measures of {density >= 1} and {0 < density < 1} on [lo, hi].
-
-        The density crosses 1 where the polynomial with the m = 0 coefficient
-        lowered by 1 has a root on the unit circle.
-        """
-        if self.is_zero:
-            return (0.0, 0.0)
-        lo, hi = self.lo, self.hi
-        g = np.array(self.coeffs, dtype=complex)
-        g[self.order] -= 1.0
-        if not np.any(g):
-            return (hi - lo, 0.0)  # density identically 1 -> boundary set
-        roots = np.polynomial.polynomial.polyroots(g)
-        lams = np.angle(roots[np.abs(np.abs(roots) - 1.0) < 1e-7]) / (2 * np.pi)
-        inside = np.unique(np.round(lams[(lams > lo + 1e-13) & (lams < hi - 1e-13)], 12))
-        cuts = np.concatenate([[lo], inside, [hi]])
-        mids = 0.5 * (cuts[:-1] + cuts[1:])
-        ge1 = self(mids) >= 1.0
-        lengths = np.diff(cuts)
-        return (float(lengths[ge1].sum()), float(lengths[~ge1].sum()))
-
-
-@dataclass(frozen=True)
-class HarmonicPartition:
-    """Measures of the harmonic sets where the density is zero, >= 1, or in (0, 1)."""
-
-    mu_s1: float
-    mu_s2: float
-    mu_s3: float
-
-    def __post_init__(self):
-        total = self.mu_s1 + self.mu_s2 + self.mu_s3
-        if abs(total - 1.0) > MASS_TOL:
-            raise ValueError(f"partition measures sum to {total!r}, expected 1")
 
 
 @dataclass(frozen=True)
@@ -213,17 +176,6 @@ def flat_set_measure(spectrum):
     return max(0.0, 1.0 - support)
 
 
-def partition_measures(spectrum):
-    """Exact measures of the sets {density = 0}, {density >= 1}, {0 < density < 1}."""
-    mu2 = 0.0
-    mu3 = 0.0
-    for p in spectrum.pieces:
-        m2, m3 = p.level_measures()
-        mu2 += m2
-        mu3 += m3
-    return HarmonicPartition(flat_set_measure(spectrum), mu2, mu3)
-
-
 def autocovariance(spectrum, m):
     """Fourier-Stieltjes coefficient: integral of exp(i 2 pi m lambda) dF."""
     return complex(autocovariances(spectrum, np.asarray([m]))[0])
@@ -249,14 +201,3 @@ def toeplitz_covariance(spectrum, n):
     k = r[np.abs(lag)]
     return np.where(lag >= 0, k, np.conj(k))  # autocov(-m) = conj(autocov(m))
 
-
-def cumulative(spectrum, lam):
-    """Right-continuous distribution function F(lam) with F(-1/2) = 0 for a.c. parts."""
-    if not -0.5 <= lam <= 0.5:
-        raise ValueError(f"lambda {lam} outside [-1/2, 1/2]")
-    acc = 0.0
-    for p in spectrum.pieces:
-        if lam > p.lo:
-            acc += float(Piece(p.lo, min(lam, p.hi), p.coeffs).fourier(0).real)
-    acc += sum(w for loc, w in spectrum.point_masses if loc <= lam)
-    return acc

@@ -316,6 +316,16 @@ class TestErrorPaths:
             assert "error: unit modulus with 4 circles" in err
         assert not csv_path.exists()
 
+    def test_rice_mean_past_its_domain_is_a_validation_error(self, tmp_path, capsys):
+        # unchecked, chndtr returns NaN here and bounds blames the tail
+        white = {"pieces": [{"lo": -0.5, "hi": 0.5,
+                             "density": {"kind": "constant", "value": 1.0}}]}
+        model = {"kind": "gaussian", "mean": [2.2e9, 0.0], "spectrum": white}
+        path = write_scenario(tmp_path, model=model, snr_grid=[1e4])
+        code, out, err = run(capsys, ["bound", "--scenario", path])
+        assert code == 2 and out == ""
+        assert "error: Rice tail with |mean| 2.2e+09: exact tails cover |mean| <= 50000" in err
+
     @pytest.mark.parametrize("command", ["szego", "spectrum-check"])
     def test_four_circles_run_jobs_without_a_tail(self, tmp_path, capsys, command):
         path = write_scenario(tmp_path, model=self.FOUR_CIRCLES)
@@ -476,6 +486,8 @@ class TestLayerImports:
                   for m in pkgutil.iter_modules(prelog_lab.__path__)]
         assert len(layers) == 9
         for gone in ("ChannelParams", "SamplePath", "InputBatch", "CovarianceMatrix",
-                     "estimate_entropy", "__all__"):
+                     "estimate_entropy", "partition_measures", "HarmonicPartition",
+                     "cumulative", "__all__"):
             for module in [prelog_lab, *layers]:
                 assert not hasattr(module, gone), (module.__name__, gone)
+        assert not hasattr(prelog_lab.spectra.Piece, "level_measures")

@@ -228,6 +228,38 @@ class TestMarginalTail:
             for i in (0, 1, 5000, 10600, 10700, 11200):
                 assert fading.marginal_tail(m, float(gammas[i])) == want[i]
 
+    def test_rice_mean_domain_is_named(self):
+        # unchecked, chndtr returns NaN at gamma = |d| = 1e6, bounds calls that
+        # NaN "tail must be a probability" at 1e10, and np.square overflows at 1e154
+        for d in (1e6, -1e10j, 1e154):
+            m = fading.gaussian_model(spectra.white(), d=d)
+            for call in (lambda: fading.marginal_tail(m, abs(d)),
+                         lambda: bounds.capacity_lower_bound(m, 1e4)):
+                with pytest.raises(ValueError, match=r"exact tails cover \|mean\| <= 50000"):
+                    call()
+
+    def test_rice_tail_at_the_largest_mean_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        d = fading._RICE_MAX_MEAN
+
+        def tail(gamma):
+            # the Rice density 2r exp(-r^2 - d^2) I0(2rd) over [gamma, inf), as
+            # 2r exp(-(r - d)^2) times exp(-2rd) I0(2rd), neither of which overflows
+            def density(r):
+                return (2 * r * mpmath.exp(-(r - d) ** 2)
+                        * mpmath.besseli(0, 2 * r * d) * mpmath.exp(-2 * r * d))
+            cuts = [c for c in (d - 8, d, d + 8) if c > gamma]
+            return float(mpmath.quad(density, [gamma, *cuts, mpmath.inf]))
+
+        m = fading.gaussian_model(spectra.white(), d=d * 1j)
+        gammas = np.array([0.0, d - 6, d - 2, d - 0.5, d, d + 0.5, d + 2, d + 6, d + 10])
+        with mpmath.workdps(30):
+            want = [tail(mpmath.mpf(g)) for g in gammas]
+        assert np.max(np.abs(fading.marginal_tail(m, gammas) - want)) <= 4e-16 * d + 1e-15
+        # from |d| ~ 5.25e4 NaN first shows up near gamma = |d| + 18
+        far = fading.marginal_tail(m, d + np.arange(10.0, 25.0, 0.1))
+        assert ((far >= 0) & (far <= 1e-40)).all()
+
     def test_four_point_single_tap_step(self):
         m = fading.fir_model([1.0], fading.FOUR_POINT_PHASE)
         assert fading.marginal_tail(m, 0.5) == 1.0

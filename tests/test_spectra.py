@@ -150,52 +150,6 @@ class TestToeplitzCovariance:
             spectra.toeplitz_covariance(spectra.white(), 0)
 
 
-class TestPartitionMeasures:
-    def test_flat_band_quarter(self):
-        p = spectra.partition_measures(spectra.flat_band(0.25))
-        assert (p.mu_s1, p.mu_s2, p.mu_s3) == (0.5, 0.5, 0.0)
-
-    def test_full_band_boundary_case(self):
-        p = spectra.partition_measures(spectra.white())
-        assert (p.mu_s1, p.mu_s2, p.mu_s3) == (0.0, 1.0, 0.0)
-
-    def test_half_density_plus_mass(self):
-        f = spectra.mixed_spectrum([(-0.5, 0.5, 0.5)], [(0.0, 0.5)])
-        p = spectra.partition_measures(f)
-        assert (p.mu_s1, p.mu_s2, p.mu_s3) == (0.0, 0.0, 1.0)
-
-    def test_measures_sum_to_one(self, rng):
-        for _ in range(8):
-            f = random_pc_spectrum(rng, with_masses=bool(rng.integers(2)))
-            p = spectra.partition_measures(f)
-            assert p.mu_s1 + p.mu_s2 + p.mu_s3 == pytest.approx(1.0, abs=1e-12)
-            assert spectra.flat_set_measure(f) + p.mu_s2 + p.mu_s3 == \
-                pytest.approx(1.0, abs=1e-12)
-
-    def test_trig_level_set(self):
-        # density 1 + cos(2 pi lam) is >= 1 exactly on |lam| <= 1/4
-        f = spectra.SpectralDistribution(pieces=(
-            spectra.Piece(-0.5, 0.5, (0.5, 1.0, 0.5)),))
-        p = spectra.partition_measures(f)
-        assert p.mu_s1 == 0.0
-        assert p.mu_s2 == pytest.approx(0.5, abs=1e-9)
-        assert p.mu_s3 == pytest.approx(0.5, abs=1e-9)
-
-
-class TestCumulativeAndAuxiliary:
-    def test_endpoints(self, rng):
-        f = random_pc_spectrum(rng, with_masses=True)
-        assert spectra.cumulative(f, -0.5) <= 1e-12 + sum(
-            w for loc, w in f.point_masses if loc <= -0.5)
-        assert spectra.cumulative(f, 0.5) == pytest.approx(1.0, abs=1e-12)
-
-    def test_nondecreasing(self, rng):
-        f = random_pc_spectrum(rng, with_masses=True)
-        grid = np.linspace(-0.5, 0.5, 257)
-        vals = [spectra.cumulative(f, x) for x in grid]
-        assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
-
-
 class TestValidation:
     def test_total_mass_enforced(self):
         with pytest.raises(ValueError, match="mass"):
