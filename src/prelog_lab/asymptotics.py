@@ -22,6 +22,8 @@ import numpy as np
 
 from . import bounds, spectra
 
+MIN_FIT_POINTS = 4  # prelog_lower_estimate fits the last half of its grid
+
 
 @dataclass(frozen=True)
 class PrelogEstimate:
@@ -79,6 +81,15 @@ def limit_ratio_check(spectrum, snr_grid, tol=0.02):
                             converged=bool(converged))
 
 
+def fit_grid_fault(snr_grid):
+    """Why prelog_lower_estimate refuses an increasing snr grid, or None."""
+    if len(snr_grid) < MIN_FIT_POINTS:
+        return f"snr grid needs at least {MIN_FIT_POINTS} points"
+    if snr_grid[0] <= math.e:
+        return "snr grid must stay above e"
+    return None
+
+
 def prelog_lower_estimate(model, snr_grid, gamma=None):
     """Extrapolated pre-log lower bound over an SNR grid.
 
@@ -90,8 +101,9 @@ def prelog_lower_estimate(model, snr_grid, gamma=None):
     penalty term has settled into its asymptotic regime.
     """
     grid = _validated_grid(snr_grid)
-    if grid.size < 4:
-        raise ValueError("snr grid needs at least 4 points")
+    fault = fit_grid_fault(grid)
+    if fault is not None:
+        raise ValueError(fault)
     ratios = tuple(r.ratio for r in bounds.capacity_lower_bound(model, grid, gamma))
     half = grid.size // 2
     intercept = float(np.polyfit(1.0 / np.log(grid[half:]), ratios[half:], 1)[1])

@@ -40,6 +40,9 @@ def run_bound(scen):
 
 def run_prelog(scen):
     """Per-SNR bound ratios plus a summary line with the extrapolated pre-log."""
+    fault = asymptotics.fit_grid_fault(scen.snr_grid)
+    if fault is not None:  # checked here, not at load: other outputs take any grid
+        raise scenario.ScenarioError(f"$['snr_grid']: {fault}")
     est = asymptotics.prelog_lower_estimate(scen.model, scen.snr_grid, gamma=scen.gamma)
     target = asymptotics.gaussian_prelog(scen.model.spectrum)
     verdict = "PASS" if est.intercept >= target - FIT_TOL else "FAIL"

@@ -203,6 +203,7 @@ def _three_circle_tail(r1, r2, r3, g):
     return (lo + (hi - lo) * inner + (1.0 - hi) * (g < r3))[..., 0]
 
 
+@np.errstate(over="ignore")  # a square of gamma past 1e154 is inf, where the tail is 0
 def marginal_tail(model, gamma):
     """P(|H1| >= gamma), elementwise: a float for a scalar gamma, else an array
     of gamma's shape.

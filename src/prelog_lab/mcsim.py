@@ -22,6 +22,8 @@ from . import fading
 from .errors import NumericalError
 
 _STRATA = 64
+MIN_SAMPLES = 10**4  # estimate_coherent_mi's floor: 156 samples a stratum
+MIN_SEGMENTS = 8  # empirical_spectrum's path is at least this many segments long
 
 
 @dataclass(frozen=True)
@@ -117,8 +119,8 @@ def estimate_coherent_mi(model, snr, n_samples, seed):
     """
     if not 0 < snr < math.inf:
         raise ValueError(f"snr must be positive and finite, got {snr!r}")
-    if n_samples < 10**4:
-        raise ValueError(f"need at least 10000 samples, got {n_samples}")
+    if n_samples < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n_samples}")
     base = [int(s) for s in seed] if np.iterable(seed) else [int(seed)]
     per = n_samples // _STRATA
     peak = math.sqrt(snr)
@@ -134,6 +136,15 @@ def estimate_coherent_mi(model, snr, n_samples, seed):
     return EntropyEstimate(value=mi, standard_error=se)
 
 
+def welch_fault(path_length, segment_length):
+    """Why empirical_spectrum refuses these lengths, as (argument, reason), or None."""
+    if segment_length < 2 or segment_length & (segment_length - 1):
+        return "segment_length", "segment length must be a power of two"
+    if path_length < MIN_SEGMENTS * segment_length:
+        return "path_length", f"path must cover at least {MIN_SEGMENTS} segments"
+    return None
+
+
 def empirical_spectrum(values, segment_length):
     """Welch density estimate of a fading path on the shifted frequency grid.
 
@@ -146,10 +157,9 @@ def empirical_spectrum(values, segment_length):
     """
     values = np.asarray(values)
     seg = int(segment_length)
-    if seg < 2 or seg & (seg - 1):
-        raise ValueError("segment length must be a power of two")
-    if len(values) < 8 * seg:
-        raise ValueError("path must cover at least 8 segments")
+    fault = welch_fault(len(values), seg)
+    if fault is not None:
+        raise ValueError(fault[1])
     x = values - values.mean()
     phi = np.linspace(-np.pi, np.pi, seg + 1)[:-1]
     w = 0.5 * np.cos(0 * phi) + 0.5 * np.cos(phi)  # periodic Hann

@@ -1,5 +1,7 @@
 """Scenario files: declarative JSON descriptions of a fading model plus the
-study parameters, validated against the schema shipped with the package.
+study parameters, validated against the schema shipped with the package (read
+and interpreted here, keyword by keyword) and against the rules that the
+runners of the listed outputs put on their fields.
 
 Loading normalizes the description (complex numbers as [re, im] pairs, SNR
 grids expanded to explicit lists, filter taps in their unit-power form) and
@@ -14,10 +16,9 @@ import json
 import math
 from dataclasses import dataclass, replace
 
-import jsonschema
 import numpy as np
 
-from . import fading, spectra
+from . import fading, mcsim, spectra
 
 DEFAULT_N_LIST = (128, 256, 512, 1024, 2048)
 DEFAULT_PATH_LENGTH = 65536
@@ -49,14 +50,107 @@ class Scenario:
 
 
 @functools.lru_cache(maxsize=1)
-def _validator():
-    """Validator for the shipped schema, built once per process.  The schema
-    is checked against its metaschema in tests/test_scenario.py, not here."""
+def _schema():
+    """The shipped schema, read once per process.  It is checked against its
+    metaschema in tests/test_scenario.py, not here."""
     from importlib import resources
 
-    text = (resources.files("prelog_lab") / "schema" / "scenario.schema.json").read_text()
-    schema = json.loads(text)
-    return jsonschema.validators.validator_for(schema)(schema)
+    return json.loads(
+        (resources.files("prelog_lab") / "schema" / "scenario.schema.json").read_text())
+
+
+# The schema is interpreted here, keyword by keyword, because importing a
+# JSON Schema library costs a CLI job more than the job computes.  The tests
+# check this interpreter against such a library.
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)
+                          or isinstance(v, float) and v.is_integer()),
+}
+
+
+def _same(a, b):
+    """JSON equality: 1.0 is 1, but True is not 1."""
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    return isinstance(a, bool) == isinstance(b, bool) and a == b
+
+
+def _resolve(schema):
+    """A local reference "#/$defs/name" as the schema it names."""
+    while "$ref" in schema:
+        schema = functools.reduce(dict.__getitem__, schema["$ref"][2:].split("/"), _schema())
+    return schema
+
+
+def _valid(schema, value):
+    return next(_faults(schema, value), None) is None
+
+
+def _faults(schema, value, path=()):
+    """Yield (path, message) for each way `value` breaks `schema`, in document
+    order.  A value of the wrong type yields that alone; an object yields its
+    missing keys, then its members in the order they appear."""
+    schema = _resolve(schema)
+    if "type" in schema and not _TYPES[schema["type"]](value):
+        yield path, f"{value!r} is not of type {schema['type']!r}"
+        return
+    if "enum" in schema and not any(_same(value, e) for e in schema["enum"]):
+        yield path, f"{value!r} is not one of {schema['enum']!r}"
+    if "const" in schema and not _same(value, schema["const"]):
+        yield path, f"{schema['const']!r} was expected"
+    if _TYPES["number"](value):
+        if value < schema.get("minimum", -math.inf):
+            yield path, f"{value!r} is less than the minimum of {schema['minimum']!r}"
+        if value > schema.get("maximum", math.inf):
+            yield path, f"{value!r} is greater than the maximum of {schema['maximum']!r}"
+        if value <= schema.get("exclusiveMinimum", -math.inf):
+            yield path, (f"{value!r} is less than or equal to the minimum of "
+                         f"{schema['exclusiveMinimum']!r}")
+    if isinstance(value, str) and len(value) < schema.get("minLength", 0):
+        yield path, f"{value!r} is too short"
+    if isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            yield path, f"{value!r} is too short"
+        if len(value) > schema.get("maxItems", math.inf):
+            yield path, f"{value!r} is too long"
+        if schema.get("uniqueItems") and any(_same(a, b) for i, a in enumerate(value)
+                                             for b in value[:i]):
+            yield path, f"{value!r} has non-unique elements"
+        if "items" in schema:
+            for i, item in enumerate(value):
+                yield from _faults(schema["items"], item, path + (i,))
+    if isinstance(value, dict):
+        for key in schema.get("required", ()):
+            if key not in value:
+                yield path, f"{key!r} is a required property"
+        properties = schema.get("properties", {})
+        for key, item in value.items():
+            if properties.get(key) is False:  # only the kind rules forbid a key
+                yield path + (key,), f"not allowed for kind {value['kind']!r}"
+            elif key in properties:
+                yield from _faults(properties[key], item, path + (key,))
+            elif schema.get("additionalProperties") is False:
+                yield path, f"Additional properties are not allowed ({key!r} was unexpected)"
+    if "oneOf" in schema:
+        branches = [_resolve(b) for b in schema["oneOf"]]
+        valid = sum(_valid(b, value) for b in branches)
+        typed = [b for b in branches if "type" in b and _TYPES[b["type"]](value)]
+        if valid == 0 and len(typed) == 1:  # the fault inside the branch meant
+            yield from _faults(typed[0], value, path)
+        elif valid == 0:
+            yield path, f"{value!r} is not valid under any of the given schemas"
+        elif valid > 1:
+            yield path, f"{value!r} is valid under more than one of the given schemas"
+    for rule in schema.get("allOf", ()):
+        yield from _faults(rule, value, path)
+    if "if" in schema and _valid(schema["if"], value):
+        yield from _faults(schema.get("then", {}), value, path)
 
 
 def _complex_from(value):
@@ -127,7 +221,7 @@ def _grid_from(data):
         if data["points"] > 1 and data["stop"] <= data["start"]:
             raise ScenarioError("$.snr_grid: stop must exceed start")
         grid = np.logspace(math.log10(data["start"]), math.log10(data["stop"]),
-                           data["points"])
+                           int(data["points"]))  # an integer may be written 3.0
     else:
         grid = np.asarray(data, dtype=float)
     if np.any(np.diff(grid) <= 0):
@@ -135,19 +229,25 @@ def _grid_from(data):
     return tuple(float(s) for s in grid)
 
 
+def _runner_faults(scen):
+    """(field, reason) for each rule that a listed output's runner puts on the
+    scenario beyond the schema; the runners check the same thresholds."""
+    samples = scen.mc_samples
+    if "mi" in scen.outputs and samples is not None and samples < mcsim.MIN_SAMPLES:
+        yield "mc_samples", f"mi needs at least {mcsim.MIN_SAMPLES} samples"
+    if "spectrum-check" in scen.outputs:
+        fault = mcsim.welch_fault(scen.path_length, scen.segment_length)
+        if fault is not None:
+            yield fault
+
+
 def scenario_from_dict(data):
-    error = jsonschema.exceptions.best_match(_validator().iter_errors(data))
-    if error is not None:
-        path, message = list(error.absolute_path), error.message
-        if error.validator is None:  # a kind rule's {field: false}; the path lost the field
-            obj = functools.reduce(lambda node, key: node[key], path, data)
-            path.append(next(k for k, v in obj.items() if v is error.instance))
-            message = f"not allowed for kind {obj['kind']!r}"
+    for path, message in _faults(_schema(), data):
         loc = "$" + "".join(f"[{p!r}]" if isinstance(p, str) else f"[{p}]" for p in path)
         raise ScenarioError(f"{loc}: {message}")
     gamma_mode = data.get("gamma_mode", "optimized")
     snr_grid = _grid_from(data["snr_grid"])
-    return Scenario(
+    scen = Scenario(
         name=data["name"],
         model=_model_from_dict(data["model"]),
         snr_grid=snr_grid,
@@ -160,6 +260,9 @@ def scenario_from_dict(data):
         path_length=int(data.get("path_length", DEFAULT_PATH_LENGTH)),
         segment_length=int(data.get("segment_length", DEFAULT_SEGMENT_LENGTH)),
     )
+    for field, reason in _runner_faults(scen):
+        raise ScenarioError(f"$[{field!r}]: {reason}")
+    return scen
 
 
 def scenario_to_dict(scen):

@@ -9,6 +9,7 @@ import pkgutil
 import subprocess
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -353,6 +354,42 @@ class TestErrorPaths:
             assert code == 2 and out == ""
             assert "bad.json: non-finite number " + token.strip("[]") in err
 
+    # rules of a runner that the schema cannot state, each named at its field
+    @pytest.mark.parametrize("command, overrides, message", [
+        ("mi", {"mc_samples": 1}, "$['mc_samples']: mi needs at least 10000 samples"),
+        ("spectrum-check", {"segment_length": 100},
+         "$['segment_length']: segment length must be a power of two"),
+        ("spectrum-check", {"path_length": 16},
+         "$['path_length']: path must cover at least 8 segments"),
+        ("prelog", {"snr_grid": [1e2, 1e3, 1e4]},
+         "$['snr_grid']: snr grid needs at least 4 points"),
+        ("prelog", {"snr_grid": [2.0, 3.0, 4.0, 5.0]}, "$['snr_grid']: snr grid must stay above e"),
+    ], ids=["mc_samples", "segment_length", "path_length", "short-grid", "grid-below-e"])
+    def test_runner_domain_is_a_located_validation_error(self, tmp_path, capsys, command,
+                                                          overrides, message):
+        path = write_scenario(tmp_path, **overrides)
+        code, out, err = run(capsys, [command, "--scenario", path])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.endswith(f": {message}\n")
+
+    @pytest.mark.parametrize("model", [
+        {"kind": "gaussian", "spectrum": {"pieces": [
+            {"lo": -0.5, "hi": 0.5, "density": {"kind": "constant", "value": 1.0}}]}},
+        {"kind": "gaussian", "mean": [0.5, 0.0], "spectrum": {"pieces": [
+            {"lo": -0.5, "hi": 0.5, "density": {"kind": "constant", "value": 1.0}}]}},
+        {"kind": "fir", "taps": [[1.0, 0.0], [0.5, 0.0]], "innovation": "unit_modulus"},
+    ], ids=["rayleigh", "rice", "two-circles"])
+    def test_huge_fixed_threshold_has_tail_zero_without_warning(self, tmp_path, capsys,
+                                                                 model):
+        # gamma^2 overflows past 1e154; the tail there is 0 and says nothing
+        path = write_scenario(tmp_path, model=model, gamma_mode=1e160)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # as under python -W error
+            code, out, err = run(capsys, ["bound", "--scenario", path])
+        assert code == 0 and err == ""
+        header, rows = parse(out)
+        assert [row[header.index("tail")] for row in rows] == ["0"]
+
     def test_invalid_json(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -387,38 +424,40 @@ class TestSerial:
 
 
 # Runs in a fresh interpreter: imports the CLI, runs the jobs given in argv
-# as command, scenario pairs, and prints the scipy modules loaded after the
-# import and after each job, one JSON list per line.
-LOADED_SCIPY = """
+# as command, scenario pairs, and prints the modules of scipy and of a JSON
+# Schema library (jsonschema, referencing, attrs) loaded after the import and
+# after each job, one JSON list per line.
+LOADED_OPTIONAL = """
 import contextlib, io, json, sys
 import prelog_lab.cli
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-print(json.dumps(scipy_modules()))
+def optional_modules():
+    roots = {"scipy", "jsonschema", "referencing", "attrs"}
+    return sorted(m for m in sys.modules if m.split(".")[0] in roots)
+print(json.dumps(optional_modules()))
 for command, path in zip(sys.argv[1::2], sys.argv[2::2]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert prelog_lab.cli.main([command, "--scenario", path]) == 0, (command, path)
-    print(json.dumps(scipy_modules()))
+    print(json.dumps(optional_modules()))
 """
 
 
-def loaded_scipy(jobs):
-    """scipy modules after `import prelog_lab.cli`, then after each
-    (command, scenario path) job."""
+def loaded_optional(jobs):
+    """scipy and JSON Schema modules after `import prelog_lab.cli`, then after
+    each (command, scenario path) job."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     argv = [arg for job in jobs for arg in job]
-    proc = subprocess.run([sys.executable, "-c", LOADED_SCIPY, *argv],
+    proc = subprocess.run([sys.executable, "-c", LOADED_OPTIONAL, *argv],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return [json.loads(line) for line in proc.stdout.splitlines()]
 
 
 class TestImportSet:
-    def test_no_shipped_job_loads_scipy(self):
+    def test_no_shipped_job_loads_scipy_or_jsonschema(self):
         # every output of every shipped scenario (zero-mean Gaussian and FIR
-        # laws, no arc pieces) uses only numpy and jsonschema: the closed
-        # forms, the numpy Welch of spectrum-check and mi's harmonic-sum
-        # entropy constant
+        # laws, no arc pieces) uses only numpy: the closed forms, the numpy
+        # Welch of spectrum-check and mi's harmonic-sum entropy constant; the
+        # scenario is validated by the package's own reading of its schema
         jobs = [(command, str(path))
                 for path in sorted((ROOT / "scenarios").glob("*.json"))
                 for command in json.loads(path.read_text())["outputs"]]
@@ -426,7 +465,7 @@ class TestImportSet:
             "flat_band_rayleigh", "mixed_point_mass", "two_tap_fourpoint",
             "white_rayleigh"}
         assert {command for command, _ in jobs} == set(cli._COMMANDS)
-        assert loaded_scipy(jobs) == [[]] * (1 + len(jobs))
+        assert loaded_optional(jobs) == [[]] * (1 + len(jobs))
 
 
 class TestParserReuse:
@@ -478,8 +517,8 @@ class TestLayerImports:
         assert proc.returncode == 0, proc.stderr
         loaded = set(json.loads(proc.stdout))
         assert "prelog_lab.bounds" in loaded
-        assert not loaded & {"jsonschema", "prelog_lab.scenario", "prelog_lab.mcsim",
-                             "prelog_lab.cli"}
+        assert not loaded & {"jsonschema", "referencing", "attrs", "prelog_lab.scenario",
+                             "prelog_lab.mcsim", "prelog_lab.cli"}
 
     def test_deleted_names_stay_gone(self):
         layers = [importlib.import_module(f"prelog_lab.{m.name}")

@@ -6,7 +6,9 @@ cache directory, or in a temporary one when that cache is off.
 """
 
 import copy
+import functools
 import json
+import operator
 import os
 import pathlib
 import shutil
@@ -14,12 +16,13 @@ import subprocess
 import sys
 from unittest import mock
 
+import jsonschema
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prelog_lab import bounds, fading, scenario, spectra
+from prelog_lab import bounds, fading, mcsim, scenario, spectra
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
                     max_examples=50)
@@ -118,10 +121,11 @@ def pair(z):
 
 @st.composite
 def scenario_dicts(draw):
-    """Scenario files the schema accepts: Gaussian models on constant and
+    """Scenario files that load: Gaussian models on constant and
     trigonometric bands with point masses, FIR models of every innovation law
     (zero taps included), snr grids as lists and as logspace dicts, and a
-    fixed or an optimized threshold; each optional field present or not."""
+    fixed or an optimized threshold; each optional field present or not, and
+    within the rules that mi and spectrum-check put on it."""
     if draw(st.booleans(), label="gaussian"):
         cuts = draw(st.sets(st.integers(-31, 31), max_size=4), label="cuts")
         edges = [-0.5, *(c / 64 for c in sorted(cuts)), 0.5]
@@ -163,9 +167,9 @@ def scenario_dicts(draw):
         "seed": st.integers(0, 2**32),
         "snr": snrs,
         "n_list": st.lists(st.integers(1, 4096), min_size=1, max_size=4),
-        "mc_samples": st.integers(1, 10**6),
-        "path_length": st.integers(16, 2**16),
-        "segment_length": st.integers(2, 1024),
+        "mc_samples": st.integers(mcsim.MIN_SAMPLES, 10**6),
+        "path_length": st.integers(mcsim.MIN_SEGMENTS * 1024, 2**16),
+        "segment_length": st.integers(1, 10).map(lambda k: 2**k),
     }
     for key, values in optional.items():
         if draw(st.booleans(), label=f"has {key}"):
@@ -192,8 +196,9 @@ def _property_names(node):
     return set(node.get("properties", {})).union(*map(_property_names, node.values()))
 
 
-SCHEMA_KEYS = _property_names(json.loads(
-    (pathlib.Path(scenario.__file__).parent / "schema" / "scenario.schema.json").read_text()))
+SCHEMA = json.loads(
+    (pathlib.Path(scenario.__file__).parent / "schema" / "scenario.schema.json").read_text())
+SCHEMA_KEYS = _property_names(SCHEMA)
 # a valid field that the other kind of the same object reads
 FOREIGN = {"gaussian": {"taps": [[1.0, 0.0]], "innovation": "unit_modulus"},
            "fir": {"spectrum": {}}, "constant": {"coeffs": [1.0]}, "trig": {"value": 1.0}}
@@ -261,6 +266,78 @@ def test_rejected_scenario_names_the_offending_field(case):
     loc = "$" + "".join(f"[{p!r}]" for p in path)
     text = str(info.value)
     assert text.startswith(loc) and repr(key) in text[len(loc):], text
+
+
+ORACLE = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
+
+
+def _words(node):
+    """Every string the schema's enums and consts allow."""
+    if isinstance(node, list):
+        return set().union(*map(_words, node))
+    if not isinstance(node, dict):
+        return set()
+    own = set(node.get("enum", ())) | ({node["const"]} if "const" in node else set())
+    return own.union(*map(_words, node.values()))
+
+
+# replacement nodes: JSON values of every type, made of words and keys the
+# schema knows, so that a replacement often passes the outer checks
+json_values = st.recursive(
+    st.none() | st.booleans() | st.sampled_from([0, 1, -1, 1.0, 0.5, 2.5, 1e9])
+    | st.sampled_from(sorted(_words(SCHEMA) | {""})),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(sorted(SCHEMA_KEYS | {"x"})), inner, max_size=3),
+    max_leaves=6)
+
+
+def _node_paths(node, path=()):
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _node_paths(child, path + (key,))
+
+
+@st.composite
+def mutated_scenarios(draw):
+    """A scenario_dicts() example with 1-3 of its nodes replaced or deleted."""
+    data = draw(scenario_dicts())
+    for _ in range(draw(st.integers(1, 3), label="mutations")):
+        path = draw(st.sampled_from(list(_node_paths(data))[1:]), label="node")
+        parent = functools.reduce(operator.getitem, path[:-1], data)
+        if draw(st.booleans(), label="delete"):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(json_values, label="value")
+    return data
+
+
+def oracle_location(data):
+    """The path of jsonschema's best error, with the field that a false
+    subschema rejects appended (jsonschema's path stops at its object)."""
+    error = jsonschema.exceptions.best_match(ORACLE.iter_errors(data))
+    path = list(error.absolute_path)
+    if error.validator is None:
+        obj = functools.reduce(operator.getitem, path, data)
+        path.append(next(k for k, v in obj.items() if v is error.instance))
+    return tuple(path)
+
+
+@pytest.mark.parametrize("cases", [scenario_dicts(), rejected_scenarios().map(lambda c: c[0]),
+                                   mutated_scenarios()],
+                         ids=["accepted", "one fault", "mutated"])
+@settings(PROPERTY, max_examples=60)
+@given(data=st.data())
+def test_schema_interpreter_agrees_with_jsonschema(cases, data):
+    # accept and reject as jsonschema does; where both find one fault, at the
+    # same location (best_match descends into the oneOf branch meant).  With
+    # several faults jsonschema reports the shallowest, the interpreter the first.
+    doc = data.draw(cases, label="scenario")
+    faults = list(scenario._faults(scenario._schema(), doc))
+    errors = list(ORACLE.iter_errors(doc))
+    assert bool(faults) == bool(errors), (faults, errors)
+    if len(faults) == len(errors) == 1:
+        assert faults[0][0] == oracle_location(doc), (faults, errors[0].message)
 
 
 def test_no_cacheprovider_run_writes_no_hypothesis_dir(tmp_path):

@@ -87,6 +87,12 @@ class TestGridExpansion:
         with pytest.raises(ScenarioError, match="strictly increasing"):
             scenario.scenario_from_dict(minimal_dict(snr_grid=[100.0, 10.0]))
 
+    def test_integral_float_points(self):
+        # JSON Schema counts 3.0 as an integer, so the grid takes it as 3
+        scen = scenario.scenario_from_dict(
+            minimal_dict(snr_grid={"start": 10.0, "stop": 1000.0, "points": 3.0}))
+        assert scen.snr_grid == pytest.approx((10.0, 100.0, 1000.0))
+
     def test_bad_range_rejected(self):
         with pytest.raises(ScenarioError, match="stop must exceed start"):
             scenario.scenario_from_dict(
@@ -248,6 +254,53 @@ class TestValidationMessages:
             with pytest.raises(ScenarioError,
                                match=rf"\['density'\]: '{missing}' is a required property"):
                 scenario.scenario_from_dict(data)
+
+    @pytest.mark.parametrize("output, field, value", [("mi", "mc_samples", 1),
+                                                      ("spectrum-check", "segment_length", 100),
+                                                      ("spectrum-check", "path_length", 16)])
+    def test_runner_rule_applies_when_its_output_is_listed(self, output, field, value):
+        scen = scenario.scenario_from_dict(minimal_dict(**{field: value}))
+        assert getattr(scen, field) == value
+        with pytest.raises(ScenarioError, match=rf"^\$\['{field}'\]: "):
+            scenario.scenario_from_dict(minimal_dict(outputs=["bound", output],
+                                                     **{field: value}))
+
+    def test_interpreter_reads_every_keyword_of_the_schema(self):
+        # the package interprets its schema itself: a keyword it does not read
+        # would check nothing
+        def keywords(node):
+            if isinstance(node, list):
+                return set().union(*map(keywords, node))
+            if not isinstance(node, dict):
+                return set()
+            subschemas = [v for k, v in node.items() if k not in ("properties", "$defs")]
+            subschemas += [v for k in ("properties", "$defs") for v in node.get(k, {}).values()]
+            return set(node).union(*map(keywords, subschemas))
+
+        interpreted = {"type", "enum", "const", "minimum", "maximum", "exclusiveMinimum",
+                       "minLength", "minItems", "maxItems", "uniqueItems", "items",
+                       "required", "properties", "additionalProperties", "oneOf", "allOf",
+                       "if", "then", "$ref"}
+        annotations = {"$schema", "$id", "title", "description", "$defs"}
+        assert keywords(scenario._schema()) <= interpreted | annotations
+
+    @pytest.mark.parametrize("value, accepted", [(True, False), (1.0, True), (1, True),
+                                                 (1.5, False), ("1", False)])
+    def test_integer_and_bool_as_json_schema_counts_them(self, value, accepted):
+        # a bool is not a number; 1.0 is an integer
+        data = minimal_dict(seed=value)
+        if accepted:
+            assert scenario.scenario_from_dict(data).seed == 1
+        else:
+            with pytest.raises(ScenarioError, match=r"^\$\['seed'\]: .* is not of type 'integer'"):
+                scenario.scenario_from_dict(data)
+
+    def test_enum_tells_true_from_one(self):
+        schema = {"enum": [1, [1]], "const": 1}
+        assert list(scenario._faults(schema, 1)) == []
+        assert list(scenario._faults(schema, 1.0)) == []
+        assert [p for p, _ in scenario._faults(schema, True)] == [(), ()]
+        assert [p for p, _ in scenario._faults({"enum": [[1]]}, [True])] == [()]
 
     def test_schema_has_no_format_keyword(self):
         # the validator runs no format checker, so a "format" would check nothing
