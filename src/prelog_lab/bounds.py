@@ -213,6 +213,7 @@ def capacity_lower_bound(model, snr, gamma=None):
 
 _GAMMA_GRID = np.logspace(-6.0, 3.0, 601)
 _LN_GAMMA_GRID = np.array([math.log(g) for g in _GAMMA_GRID])
+_GRID_DECADES = 9.0 / 600  # the grid's log10 step
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -221,36 +222,53 @@ def _exp(x):
     return np.fromiter(map(math.exp, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
-def optimize_gamma(model, snr):
-    """The best threshold for the bound at snr, elementwise in snr: a float
-    for a number, an array with one threshold per snr for a 1-d grid.
+def _lambert_w0(x):
+    """The principal branch W0 of w e^w = x for x > 0, by Halley steps on
+    w - x e^-w, which neither overflows nor cancels: from ln x - ln ln x past
+    e and x / (1 + x) below.  At most 4 steps; within 2.2e-16 relative of
+    40-digit mpmath from x = 1e-30 to 1e30, and at 5e-324 and 6.6e307."""
+    w = math.log(x) - math.log(math.log(x)) if x > math.e else x / (1.0 + x)
+    for _ in range(8):
+        q = x * math.exp(-w)
+        f, slope = w - q, 1.0 + q
+        step = 2.0 * f * slope / (2.0 * slope * slope + f * q)
+        w -= step
+        if abs(step) <= 2.2e-16 * w:
+            break
+    return w
 
-    Per snr: a grid search over [1e-6, 1e3] (601 log-spaced points, Gamma = 1
-    among them) refined by 50 golden-section steps on the bracketing
-    interval.  The penalty does not depend on Gamma, so only the coherent
-    term is searched; the tail does not depend on snr, so a grid runs in
-    lockstep: one tail call scores the 601 points for every snr, and each
-    golden-section step makes one tail call for the whole grid.  The tie
-    rules are per snr: the first (smallest) grid maximizer, the left
-    subinterval on ties, and among the grid point, the refined point and
-    Gamma = 1, values within 1e-9 * min(1, |best|) nats of the best so far
-    tie and go to the smaller Gamma (relative below 1 nat, so a tiny optimum
-    still gets its argmax).  So the bound at the returned threshold is never below the bound at
-    Gamma = 1, and every element equals the one-snr call bit for bit.
-    Any positive finite snr is searched, but the grid brackets the Rayleigh
-    optimum Gamma*^2 = 1/W0(snr/e) ~ e/snr only for snr >~ 2.7e-6; below
-    that the answer is the best grid point or Gamma = 1, still a valid bound.
-    """
-    snrs = _snr_values(snr)
-    lsnr = np.array([math.log(s) for s in snrs.tolist()])[:, None]  # one row per snr
+
+def _best_atom(model, atoms, lsnr):
+    """The best of the atoms of a step tail, per snr, or twice the largest atom
+    (tail 0, coherent term 0) where every atom scores below 0; the smaller
+    threshold on ties."""
+    candidates = np.append(atoms, 2.0 * atoms[-1])
+    values = fading.marginal_tail(model, candidates) * (lsnr - 1.0 + 2.0 * np.log(candidates))
+    return candidates[np.argmax(values, axis=1)]
+
+
+def _gamma_grid(top):
+    """_GAMMA_GRID and its logs, extended past 1e3 at the same log step to a
+    point at or past top."""
+    if top <= _GAMMA_GRID[-1]:
+        return _GAMMA_GRID, _LN_GAMMA_GRID
+    extra = math.ceil(math.log10(top / _GAMMA_GRID[-1]) / _GRID_DECADES)
+    more = np.logspace(3.0, 3.0 + extra * _GRID_DECADES, extra + 1)[1:]
+    return (np.append(_GAMMA_GRID, more),
+            np.append(_LN_GAMMA_GRID, [math.log(g) for g in more.tolist()]))
+
+
+def _search(model, lsnr, grid, ln_grid):
+    """Per snr, the best grid point refined by 50 golden-section steps, or
+    Gamma = 1 when it is as good (see optimize_gamma)."""
 
     def objective(g):
         return fading.marginal_tail(model, g) * (lsnr - 1.0 + 2.0 * np.log(g))
 
-    values = objective(_GAMMA_GRID)
+    values = objective(grid)
     i = np.argmax(values, axis=1)  # argmax takes the first = smallest gamma on ties
-    a = _LN_GAMMA_GRID[np.maximum(i - 1, 0), None]
-    b = _LN_GAMMA_GRID[np.minimum(i + 1, _GAMMA_GRID.size - 1), None]
+    a = ln_grid[np.maximum(i - 1, 0), None]
+    b = ln_grid[np.minimum(i + 1, grid.size - 1), None]
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = np.hsplit(objective(_exp(np.hstack([c, d]))), 2)
@@ -264,9 +282,9 @@ def optimize_gamma(model, snr):
         fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
     refined = _exp(0.5 * (a + b))
     f_refined, f_one = np.hsplit(objective(np.hstack([refined, np.ones_like(refined)])), 2)
-    gammas = np.empty(snrs.size)
+    gammas = np.empty(lsnr.size)
     for k, j in enumerate(i.tolist()):
-        candidates = [(float(_GAMMA_GRID[j]), float(values[k, j])),
+        candidates = [(float(grid[j]), float(values[k, j])),
                       (float(refined[k, 0]), float(f_refined[k, 0])),
                       (1.0, float(f_one[k, 0]))]
         best_g, best_v = candidates[0]
@@ -276,4 +294,50 @@ def optimize_gamma(model, snr):
             if v > best_v + tol or (v >= best_v - tol and g < best_g):
                 best_g, best_v = g, v
         gammas[k] = best_g
+    return gammas
+
+
+def optimize_gamma(model, snr):
+    """The best threshold for the bound at snr, elementwise in snr: a float
+    for a number, an array with one threshold per snr for a 1-d grid.
+
+    The penalty does not depend on Gamma, so only the coherent term
+    P(|H1| >= Gamma) (L - 1 + 2 ln Gamma), L = ln snr, is maximized, by one
+    of three paths chosen by the law:
+
+    - Zero-mean complex-Gaussian marginals (Rayleigh: GAUSSIAN, or FIR with
+      complex Gaussian innovations, mean 0) take the stationary point
+      Gamma*^2 = 1/W0(snr/e) of exp(-Gamma^2) (L - 1 + 2 ln Gamma), the
+      unique maximum at every positive finite snr; there the coherent term is
+      W0 exp(-1/W0) = L - ln L - 2 + O(ln L / L).
+    - Step tails (four-point phase with at most 9 nonzero taps, and unit
+      modulus with one circle) drop only at their atoms, and between atoms
+      the objective grows with Gamma, so the best of the distinct positive
+      atoms is exact.  Where every atom scores below 0 (snr < e / a_max^2),
+      the threshold is 2 a_max, past the last atom, with tail and coherent
+      term 0.  One tail call scores every atom for the whole snr grid; exact
+      ties go to the smaller threshold.
+    - Every other law (Rice, two- and three-circle unit modulus) is searched:
+      a log grid from 1e-6 with Gamma = 1 among its points, 601 points to
+      1e3, extended at the same step to fading.support_bound(model) when
+      that lies past 1e3, then 50 golden-section steps on the interval
+      around the best grid point.  The tail does not depend on snr, so one
+      tail call scores the grid for every snr, and each golden-section step
+      makes one tail call for the whole snr grid.  The tie rules are per
+      snr: the first (smallest) grid maximizer, the left subinterval on
+      ties, and among the grid point, the refined point and Gamma = 1,
+      values within 1e-9 * min(1, |best|) nats of the best so far tie and go
+      to the smaller Gamma.  So the bound is never below the bound at
+      Gamma = 1; the grid brackets optima down to Gamma = 1e-6.
+
+    Every element equals the one-snr call bit for bit, on every path.
+    """
+    snrs = _snr_values(snr)
+    lsnr = np.array([math.log(s) for s in snrs.tolist()])[:, None]  # one row per snr
+    if fading.gaussian_marginal(model) and model.mean == 0:
+        gammas = np.array([1.0 / math.sqrt(_lambert_w0(s / math.e)) for s in snrs.tolist()])
+    elif (atoms := fading.tail_atoms(model)) is not None:
+        gammas = _best_atom(model, atoms, lsnr)
+    else:
+        gammas = _search(model, lsnr, *_gamma_grid(fading.support_bound(model)))
     return float(gammas[0]) if np.ndim(snr) == 0 else gammas

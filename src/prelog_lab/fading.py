@@ -33,6 +33,7 @@ _FOUR_POINTS = np.array([1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j])
 
 _FOUR_POINT_MAX_TAPS = 9  # 4^9 = 262,144 atoms, 2 MiB a table; each tap more quadruples it
 _RICE_MAX_MEAN = 5e4  # from |d| ~ 5.25e4 chndtr returns NaN for some gamma near |d| + 18
+_GAUSSIAN_TAIL_MARGIN = 10.0  # P(|H1| >= |d| + 10) <= P(|CN(0, 1)| >= 10) = e^-100
 _EMBED_CAP = 2**20
 _EMBED_CLIP_TOL = 1e-4  # relative eigenvalue mass clipped to zero in the embedding
 # tanh-sinh rule for a mean over [0, 1]: nodes s = (1 + tanh(pi/2 sinh t)) / 2, t on 96 points
@@ -187,6 +188,50 @@ def _marginal_samples(model):
     return np.sort(np.abs(model.mean + w @ taps))
 
 
+def _four_point_support(model):
+    """_marginal_samples(model), once the tap count is known to be in range."""
+    nonzero = sum(1 for t in model.taps if t)
+    if nonzero > _FOUR_POINT_MAX_TAPS:
+        raise ValueError(
+            f"four-point phase with {nonzero} taps: exact tails "
+            f"enumerate 4^J atoms for at most {_FOUR_POINT_MAX_TAPS} taps")
+    return _marginal_samples(model)
+
+
+def _radii(model):
+    """The circles of a unit-modulus law: |c| for each nonzero term of d + sum_j a_j W_j."""
+    return sorted(abs(c) for c in (model.mean, *model.taps) if c)
+
+
+def gaussian_marginal(model):
+    """Whether H1 is complex Gaussian (Rayleigh, or Rice with a mean): Gaussian
+    models, and filtered complex Gaussian innovations, whose law a unit-power
+    filter preserves."""
+    return model.kind == GAUSSIAN or model.innovation == COMPLEX_GAUSSIAN
+
+
+def support_bound(model):
+    """A Gamma past which P(|H1| >= Gamma) is 0: |d| + sum_j |a_j| for unit
+    modulus and four-point phase; for Gaussian marginals, whose support is
+    unbounded, |d| + 10, past which the tail is below e^-100."""
+    if gaussian_marginal(model):
+        return abs(model.mean) + _GAUSSIAN_TAIL_MARGIN
+    return abs(model.mean) + sum(abs(t) for t in model.taps)
+
+
+def tail_atoms(model):
+    """The sorted distinct positive values of |H1| when its tail is a step
+    function: the atoms of a four-point law, or the radius of a one-circle
+    unit-modulus law.  None for every other law.  A four-point law with more
+    than 9 nonzero taps raises ValueError before any atom is built."""
+    if model.innovation == FOUR_POINT_PHASE:
+        support = _four_point_support(model)
+        return np.unique(support[support > 0])
+    if model.innovation == UNIT_MODULUS and len(radii := _radii(model)) == 1:
+        return np.array(radii)
+    return None
+
+
 def _circle_tail(r1, r2, g):
     """P(|r1 + r2 e^{i psi}| >= g) for psi uniform: the two-circle arccos law."""
     cos_psi = (g * g - r1 * r1 - r2 * r2) / (2.0 * r1 * r2)
@@ -221,14 +266,13 @@ def marginal_tail(model, gamma):
       laws with equal or near-zero radii (3e-10); four or more raise ValueError.
     - Four-point phase with J <= 9 nonzero taps is exactly k / 4^J for the k of
       its 4^J equally likely atoms at or above gamma (one within 1e-12 below counts:
-      |(1 + i)/sqrt(2)| = 1 may round an ulp low, so optimize_gamma may return
-      a threshold ~1e-12 above an atom); more taps raise ValueError.
+      |(1 + i)/sqrt(2)| = 1 may round an ulp low); more taps raise ValueError.
     A negative or NaN gamma raises ValueError.
     """
     g = np.asarray(gamma, dtype=float)
     if not (g >= 0).all():
         raise ValueError("gamma must be nonnegative")
-    if model.kind == GAUSSIAN or model.innovation == COMPLEX_GAUSSIAN:
+    if gaussian_marginal(model):
         if model.mean == 0:
             tail = np.exp(-g * g)
         else:
@@ -241,7 +285,7 @@ def marginal_tail(model, gamma):
             tail = 1.0 - scipy.special.chndtr(np.square(g / np.sqrt(0.5)), 2,
                                               np.square(np.sqrt(2.0) * abs(model.mean)))
     elif model.innovation == UNIT_MODULUS:
-        radii = sorted(abs(c) for c in (model.mean, *model.taps) if c)
+        radii = _radii(model)
         if len(radii) == 1:
             tail = (radii[0] >= g - 1e-12).astype(float)
         elif len(radii) == 2:
@@ -252,12 +296,7 @@ def marginal_tail(model, gamma):
             raise ValueError(f"unit modulus with {len(radii)} circles: "
                              f"exact tails cover at most three")
     else:
-        nonzero = sum(1 for t in model.taps if t)
-        if nonzero > _FOUR_POINT_MAX_TAPS:
-            raise ValueError(
-                f"four-point phase with {nonzero} taps: exact tails "
-                f"enumerate 4^J atoms for at most {_FOUR_POINT_MAX_TAPS} taps")
-        support = _marginal_samples(model)
+        support = _four_point_support(model)
         tail = (support.size - np.searchsorted(support, g - 1e-12)) / support.size
     tail = np.where(g == 0, 1.0, tail)
     return float(tail) if tail.ndim == 0 else tail

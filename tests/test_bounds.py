@@ -62,8 +62,8 @@ TWO_ZEROS = fir_coeffs(np.convolve([1.0, -np.exp(2j * np.pi * 0.15)],
 
 FOUR_POINT = fading.fir_model([1.0, 0.5], fading.FOUR_POINT_PHASE)
 FOUR_POINT_PINS = [(1e2, "1.0", "-1.6945896696443872"),
-                   (1e6, "0.44721359550068507", "-2.3862960277809915"),
-                   (1e12, "0.44721359550068507", "-2.3862943611183063")]
+                   (1e6, "0.4472135954999579", "-2.386296027784242"),
+                   (1e12, "0.4472135954999579", "-2.386294361121557")]
 
 
 def eig_logdet(spectrum, snr, n):
@@ -348,7 +348,8 @@ class TestOptimizeGamma:
             if snr > 1e-3:
                 assert rep.gamma == pytest.approx(1.0 / math.sqrt(w), rel=1e-8)
 
-    # (snr, gamma repr, bound repr) written by the per-point scalar search;
+    # (snr, gamma repr, bound repr): the Rice pins were written by the
+    # per-point scalar search, the four-point pins by the atom path;
     # tests/golden covers neither the Rice tail nor a four-point tail below
     # its top atom.  The four-point law has the 16 atoms 1/sqrt(5) (x4), 1 (x8)
     # and 3/sqrt(5) (x4); test_four_point_pins_are_atom_exact checks its pins.
@@ -377,10 +378,65 @@ class TestOptimizeGamma:
                        for a in atoms)
             assert abs(rep.coherent - best) <= 4e-12
 
+    def test_step_tail_below_every_atom_takes_the_past_last_threshold(self):
+        # at snr 1 the one atom, 1, scores ln 1 - 1 = -1 nats; twice the last
+        # atom has tail 0 and coherent term 0
+        model = fading.fir_model([1.0], fading.FOUR_POINT_PHASE)
+        for snr in (0.5, 1.0):
+            rep = bounds.capacity_lower_bound(model, snr)
+            assert (rep.gamma, rep.tail, rep.coherent) == (2.0, 0.0, 0.0)
+        assert bounds.capacity_lower_bound(model, math.e).gamma == 1.0  # a tie at 0: the atom
+
+    def test_lambert_w0_against_scipy_and_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        from scipy.special import lambertw
+
+        xs = [5e-324, 1e-300, *np.logspace(-30.0, 30.0, 121).tolist(), math.e, 6.6e307]
+        with mpmath.workdps(40):
+            for x in xs:
+                w = bounds._lambert_w0(x)
+                assert w == pytest.approx(float(mpmath.lambertw(x).real), rel=1e-15, abs=0), x
+                assert w == pytest.approx(lambertw(x).real, rel=1e-15, abs=0), x
+
+    def test_rayleigh_coherent_term_tends_to_its_expansion(self):
+        # W0 exp(-1/W0) = L - ln L - 2 + O(ln L / L), W0 = W0(snr/e), L = ln snr
+        model = fading.gaussian_model(spectra.white())
+        gaps = []
+        for snr in (1e2, 1e4, 1e8, 1e16, 1e32, 1e64, 1e128, 1e300):
+            big_l = math.log(snr)
+            gaps.append(bounds.capacity_lower_bound(model, snr).coherent
+                        - (big_l - math.log(big_l) - 2.0))
+            assert 0.0 < gaps[-1] <= 2.5 * math.log(big_l) / big_l, snr
+        assert all(b < a for a, b in zip(gaps, gaps[1:]))
+        assert gaps[-1] < 0.012
+
+    def test_grid_ends_at_1e3_below_it(self):
+        assert bounds._gamma_grid(999.0)[0] is bounds._GAMMA_GRID
+
+    def test_grid_reaches_the_support_at_the_same_step(self):
+        top = 1e4 + 1.0
+        grid, ln_grid = bounds._gamma_grid(top)
+        assert np.array_equal(grid[:601], bounds._GAMMA_GRID)
+        assert grid[-2] < top <= grid[-1]
+        assert np.allclose(np.diff(np.log10(grid)), 9.0 / 600, rtol=1e-9, atol=0)
+        assert ln_grid.tolist() == [math.log(g) for g in grid.tolist()]
+
+    def test_unit_modulus_past_the_old_grid_end(self):
+        # |H1| = |1e4 + W| lies in [9999, 10001]; the grid that stopped at 1e3
+        # gave 22.03 nats, Gamma = 9999 gives 26.63
+        model = fading.fir_model([1.0], fading.UNIT_MODULUS, d=1e4)
+        rep = bounds.capacity_lower_bound(model, 1e4)
+        assert rep.coherent >= 26.6 and 9999.0 - 1e-6 <= rep.gamma <= 10001.0
+
+    def test_rice_past_the_old_grid_end(self):
+        model = fading.gaussian_model(spectra.white(), d=2000.0)
+        assert bounds.optimize_gamma(model, 100.0) > 1000.0
+
 
 SHIPPED_GRID = [1e4, 1e6, 1e8, 1e10, 1e12, 1e14, 1e16]
 
-# one model per tail law of fading.marginal_tail
+# one model per tail law of fading.marginal_tail, and one whose threshold
+# search runs past 1e3
 TAIL_PATHS = {
     "rayleigh": fading.gaussian_model(spectra.white()),
     "rice": fading.gaussian_model(spectra.flat_band(0.25), d=0.7),
@@ -388,6 +444,7 @@ TAIL_PATHS = {
     "four-point-single-tap": fading.fir_model([1.0], fading.FOUR_POINT_PHASE, d=0.3),
     "unit-modulus-step": fading.fir_model([1.0], fading.UNIT_MODULUS),
     "unit-modulus-arccos": fading.fir_model([1.0, 0.5], fading.UNIT_MODULUS),
+    "unit-modulus-far": fading.fir_model([1.0], fading.UNIT_MODULUS, d=1e4),
     "unit-modulus-three-circles": fading.fir_model([1.0, 0.6, 0.3j], fading.UNIT_MODULUS),
     "four-point": FOUR_POINT,
 }
@@ -468,6 +525,22 @@ class TestGridForm:
         found = bounds.optimize_gamma(TAIL_PATHS["rayleigh"], SHIPPED_GRID)
         assert found.shape == (7,)
         assert len(calls) < 70
+
+    @pytest.mark.parametrize("path, count", [("rayleigh", 0), ("four-point", 1), ("rice", 53)])
+    def test_tail_calls_per_path(self, monkeypatch, path, count):
+        # the closed form makes none, the atoms one, and the search one for the
+        # log grid, one for the first bracket, one per golden-section step and
+        # one for the refined point and Gamma = 1, for the whole snr grid
+        calls = []
+        tail = fading.marginal_tail
+
+        def counted(model, gamma):
+            calls.append(np.shape(gamma))
+            return tail(model, gamma)
+
+        monkeypatch.setattr(fading, "marginal_tail", counted)
+        bounds.optimize_gamma(TAIL_PATHS[path], SHIPPED_GRID)
+        assert len(calls) == count
 
 
 class TestMatrixSteps:

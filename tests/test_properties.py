@@ -7,7 +7,9 @@ cache directory, or in a temporary one when that cache is off.
 
 import copy
 import functools
+import itertools
 import json
+import math
 import operator
 import os
 import pathlib
@@ -113,6 +115,48 @@ def test_optimized_threshold_beats_every_grid_point(path, data):
         ln_snr = np.log(report.snr)
         coherent = tails * ln_snr - tails * (1.0 - 2.0 * np.log(gammas))
         assert report.coherent >= coherent.max() - 1e-9
+
+
+@pytest.mark.parametrize("path", ["atoms", "step"])
+@settings(PROPERTY, max_examples=40)
+@given(data=st.data())
+def test_step_tail_threshold_is_the_best_atom(path, data):
+    # the coherent term is at least the best atom's value, by brute force over
+    # the 4^J phase patterns (one circle: its radius): it is that value at an
+    # atom, or 0 past the last atom where every atom scores below 0
+    model = data.draw(TAIL_PATHS[path], label="model")
+    grid = np.sort(data.draw(st.lists(any_snrs, min_size=1, max_size=3, unique=True),
+                             label="snrs"))
+    taps = [complex(t) for t in model.taps]
+    phases = (1, 1j, -1, -1j) if path == "atoms" else (1,)
+    atoms = sorted(abs(model.mean + sum(t * w for t, w in zip(taps, ws)))
+                   for ws in itertools.product(phases, repeat=len(taps)))
+    for report in bounds.capacity_lower_bound(model, grid):
+        ln_snr = math.log(report.snr)
+        best = max(sum(b >= a for b in atoms) / len(atoms) * (ln_snr - 1.0 + 2.0 * math.log(a))
+                   for a in atoms if a > 0)
+        assert abs(report.coherent - max(best, 0.0)) <= 4e-12
+        assert min(abs(report.gamma - a) for a in [*atoms, 2.0 * atoms[-1]]) \
+            <= 1e-12 * report.gamma
+
+
+@pytest.mark.parametrize("path", TAIL_PATHS)
+@settings(PROPERTY, max_examples=20)
+@given(data=st.data())
+def test_tail_of_an_array_is_the_scalar_tails(path, data):
+    model = data.draw(TAIL_PATHS[path], label="model")
+    gammas = data.draw(st.lists(st.floats(0.0, 4.0), min_size=1, max_size=20),
+                       label="gammas")
+    scalars = np.array([fading.marginal_tail(model, g) for g in gammas])
+    assert fading.marginal_tail(model, np.array(gammas)).tobytes() == scalars.tobytes()
+
+
+@settings(PROPERTY, max_examples=25)
+@given(piecewise_constant_spectra(), snrs,
+       st.lists(st.integers(1, 200), min_size=1, max_size=6))
+def test_logdets_of_many_orders_are_the_one_order_calls(spectrum, snr, orders):
+    singles = np.array([bounds.penalty_logdet(spectrum, snr, n) for n in orders])
+    assert bounds.penalty_logdets(spectrum, snr, orders).tobytes() == singles.tobytes()
 
 
 def pair(z):
