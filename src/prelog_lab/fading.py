@@ -13,6 +13,8 @@ mean d; the centered process always has unit variance.
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -232,20 +234,108 @@ def tail_atoms(model):
     return None
 
 
+def _two_sum(a, b):
+    """(s, e) with s = a + b rounded and s + e = a + b exactly (Knuth's TwoSum)."""
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
+
+
+def _circle_roots(r1, r2, g):
+    """sqrt((r1 + r2)^2 - g^2) and sqrt(g^2 - (r1 - r2)^2), 0 where negative: the
+    sides 2 sqrt(r1 r2) sin(psi/2) and 2 sqrt(r1 r2) cos(psi/2) at the psi where
+    |r1 + r2 e^{i psi}| = g.  Each square is factored, (hi - g)(hi + g), with the
+    rounding error of hi = r1 + r2 or lo = |r1 - r2| carried, so neither cancels
+    at an end of the support [lo, hi]."""
+    hi, hi_err = _two_sum(r1, r2)
+    lo, lo_err = _two_sum(np.maximum(r1, r2), -np.minimum(r1, r2))
+    outer = (hi - g + hi_err) * (hi + g + hi_err)
+    inner = (g - lo - lo_err) * (g + lo + lo_err)
+    return np.sqrt(np.maximum(outer, 0.0)), np.sqrt(np.maximum(inner, 0.0))
+
+
 def _circle_tail(r1, r2, g):
-    """P(|r1 + r2 e^{i psi}| >= g) for psi uniform: the two-circle arccos law."""
-    cos_psi = (g * g - r1 * r1 - r2 * r2) / (2.0 * r1 * r2)
-    return np.arccos(np.clip(cos_psi, -1.0, 1.0)) / np.pi
+    """P(|r1 + r2 e^{i psi}| >= g) for psi uniform: the two-circle arccos law,
+    psi / pi with psi = 2 atan2(sin(psi/2), cos(psi/2))."""
+    return np.arctan2(*_circle_roots(r1, r2, g)) / (np.pi / 2.0)
+
+
+def _circle_density(r1, r2, g):
+    """The density of |r1 + r2 e^{i psi}| at g: 2 g / (pi sqrt((hi^2 - g^2)(g^2 - lo^2)))
+    inside the support, 0 outside it and at its ends."""
+    outer, inner = _circle_roots(r1, r2, g)
+    root = outer * inner
+    return 2.0 * g / (np.pi * np.where(root > 0.0, root, np.inf))
+
+
+def _phase_nodes(r1, r2, r3, g):
+    """The three-circle rule's pieces at g (one trailing axis added): the phase
+    fractions lo and hi, below which |r1 + r2 e^{i psi}| >= g + r3 and past which it
+    is at most |g - r3|, and that modulus on the tanh-sinh nodes between them."""
+    g = g[..., None]
+    lo, hi = _circle_tail(r1, r2, g + r3), _circle_tail(r1, r2, np.abs(g - r3))
+    rho = np.abs(r1 + r2 * np.exp(1j * np.pi * (lo + (hi - lo) * _PHASE_S)))
+    return g, lo, hi, rho
 
 
 def _three_circle_tail(r1, r2, r3, g):
     """Mean over psi in [0, pi] of _circle_tail(|r1 + r2 e^{i psi}|, r3, g): 1 up to
     the kink psi = pi lo, [g < r3] past psi = pi hi, the tanh-sinh mean between."""
-    g = g[..., None]
-    lo, hi = _circle_tail(r1, r2, g + r3), _circle_tail(r1, r2, np.abs(g - r3))
-    rho = np.abs(r1 + r2 * np.exp(1j * np.pi * (lo + (hi - lo) * _PHASE_S)))
+    g, lo, hi, rho = _phase_nodes(r1, r2, r3, g)
     inner = (_circle_tail(rho, r3, g) * _PHASE_W).sum(-1, keepdims=True)  # same bits in any batch
     return (lo + (hi - lo) * inner + (1.0 - hi) * (g < r3))[..., 0]
+
+
+def _three_circle_density(r1, r2, r3, g):
+    """Minus the g-derivative of _three_circle_tail: the mean of _circle_density over
+    the same nodes, since the two-circle density vanishes outside [lo, hi]."""
+    g, lo, hi, rho = _phase_nodes(r1, r2, r3, g)
+    inner = (_circle_density(rho, r3, g) * _PHASE_W).sum(-1, keepdims=True)
+    return ((hi - lo) * inner)[..., 0]
+
+
+def _circles(model):
+    """The radii of a unit-modulus law with at most three circles, which have exact
+    tails; more raise ValueError."""
+    radii = _radii(model)
+    if len(radii) > 3:
+        raise ValueError(f"unit modulus with {len(radii)} circles: "
+                         f"exact tails cover at most three")
+    return radii
+
+
+def _smooth_circles(model, lacks):
+    """The radii of a two- or three-circle unit-modulus law, whose tail is
+    smooth between kinks; a step tail (four-point phase, one circle) raises
+    ValueError saying what it lacks, as do four or more circles."""
+    radii = _circles(model) if model.innovation == UNIT_MODULUS else []
+    if len(radii) < 2:
+        raise ValueError(f"a step tail has {lacks}")
+    return radii
+
+
+def _sum_down(terms):
+    """|sum of terms|, exact, rounded down to a double: fsum rounds the sum to
+    nearest, and fsum of the terms less that rounding has the residual's sign."""
+    total = math.fsum(terms)
+    if total < 0.0:
+        terms, total = [-t for t in terms], -total
+    return total if math.fsum([*terms, -total]) >= 0.0 else math.nextafter(total, 0.0)
+
+
+def tail_kinks(model):
+    """The sorted positive Gamma where P(|H1| >= Gamma) is continuous but not
+    smooth, each the largest double at or below its exact value, so a tail
+    of 1 there is exactly 1: |r1 - r2| and r1 + r2 for two unit-modulus circles,
+    the distinct |r1 +- r2 +- r3| for three; none for Gaussian marginals.  Step
+    tails (four-point phase, one circle) raise ValueError: their tail_atoms are
+    jumps, not kinks."""
+    if gaussian_marginal(model):
+        return np.empty(0)
+    radii = _smooth_circles(model, "atoms (tail_atoms), not kinks")
+    kinks = {_sum_down([r * sign for r, sign in zip(radii, (1.0, *signs))])
+             for signs in itertools.product((1.0, -1.0), repeat=len(radii) - 1)}
+    return np.array(sorted(k for k in kinks if k > 0.0))
 
 
 @np.errstate(over="ignore")  # a square of gamma past 1e154 is inf, where the tail is 0
@@ -259,11 +349,12 @@ def marginal_tail(model, gamma):
       quadrature at every gamma; a larger |d| raises ValueError.
     - Unit modulus has a circle per nonzero term of d + sum_j a_j W_j: a step at
       r for one; for two, |H1| = |r1 + r2 e^{i psi}| with psi uniform and tail
-      arccos((gamma^2 - r1^2 - r2^2) / (2 r1 r2)) / pi clipped to [0, 1], which
-      rounding of the cosine perturbs by up to 5e-9 at its support ends (1e-7
-      for r1 = 1e-4 r2); three average that law over a phase by a 96-node
-      tanh-sinh rule, within 1e-10 of adaptive quadrature save near kinks of
-      laws with equal or near-zero radii (3e-10); four or more raise ValueError.
+      arccos((gamma^2 - r1^2 - r2^2) / (2 r1 r2)) / pi, within 2.3e-16 of
+      40-digit mpmath on all of [|r1 - r2|, r1 + r2], its ends too, and exactly
+      1 at the kink tail_kinks gives for |r1 - r2|; three average that law over
+      a phase by a 96-node tanh-sinh rule, within 1e-15 of 30-digit mpmath
+      (4e-14 beside the kinks of equal radii, 2e-12 beside those of a radius
+      1e-9 times the others); four or more raise ValueError.
     - Four-point phase with J <= 9 nonzero taps is exactly k / 4^J for the k of
       its 4^J equally likely atoms at or above gamma (one within 1e-12 below counts:
       |(1 + i)/sqrt(2)| = 1 may round an ulp low); more taps raise ValueError.
@@ -285,21 +376,49 @@ def marginal_tail(model, gamma):
             tail = 1.0 - scipy.special.chndtr(np.square(g / np.sqrt(0.5)), 2,
                                               np.square(np.sqrt(2.0) * abs(model.mean)))
     elif model.innovation == UNIT_MODULUS:
-        radii = _radii(model)
+        radii = _circles(model)
         if len(radii) == 1:
             tail = (radii[0] >= g - 1e-12).astype(float)
         elif len(radii) == 2:
             tail = _circle_tail(*radii, g)
-        elif len(radii) == 3:  # the middle circle outermost: |r1 - r2| > 0 unless all equal
+        else:  # the middle circle outermost: |r1 - r2| > 0 unless all equal
             tail = _three_circle_tail(radii[0], radii[2], radii[1], g)
-        else:
-            raise ValueError(f"unit modulus with {len(radii)} circles: "
-                             f"exact tails cover at most three")
     else:
         support = _four_point_support(model)
         tail = (support.size - np.searchsorted(support, g - 1e-12)) / support.size
     tail = np.where(g == 0, 1.0, tail)
     return float(tail) if tail.ndim == 0 else tail
+
+
+@np.errstate(over="ignore")  # as in marginal_tail: the density is 0 where a square overflows
+def marginal_density(model, gamma):
+    """The density of |H1| at gamma, minus the derivative of marginal_tail,
+    elementwise: a float for a scalar gamma, else an array of gamma's shape.
+
+    - Rice (Rayleigh at d = 0): 2 gamma exp(-(gamma - |d|)^2) i0e(2 gamma |d|),
+      where i0e(x) = exp(-x) I0(x) comes from scipy.special.
+    - Two unit-modulus circles: 2 gamma / (pi sqrt((hi^2 - gamma^2)(gamma^2 - lo^2)))
+      on the open support (lo, hi), lo = |r1 - r2|, hi = r1 + r2, and 0 elsewhere.
+    - Three circles: the two-circle density averaged by the tail's own tanh-sinh
+      rule, within 5e-8 of 30-digit quadrature a relative 1e-3 or more from a
+      kink; closer, the nodes do not resolve the two-circle density's inverse
+      square roots, and the error grows to 2e-6 at 1e-6 and 3e-5 at 1e-8.
+    Step tails (four-point phase, one circle) have no density and raise
+    ValueError, as do four or more circles and a negative or NaN gamma.
+    """
+    g = np.asarray(gamma, dtype=float)
+    if not (g >= 0).all():
+        raise ValueError("gamma must be nonnegative")
+    if gaussian_marginal(model):
+        import scipy.special  # here, not at the top: only a Gaussian marginal needs it
+
+        d = abs(model.mean)
+        density = 2.0 * g * np.exp(-np.square(g - d)) * scipy.special.i0e(2.0 * d * g)
+    elif len(radii := _smooth_circles(model, "no density")) == 2:
+        density = _circle_density(*radii, g)
+    else:
+        density = _three_circle_density(radii[0], radii[2], radii[1], g)
+    return float(density) if density.ndim == 0 else density
 
 
 def zero_mass_check(model, epsilon, n_samples=10**6, seed=0):

@@ -61,6 +61,7 @@ TWO_ZEROS = fir_coeffs(np.convolve([1.0, -np.exp(2j * np.pi * 0.15)],
 
 
 FOUR_POINT = fading.fir_model([1.0, 0.5], fading.FOUR_POINT_PHASE)
+RICE = fading.gaussian_model(spectra.flat_band(0.25), d=0.7)
 FOUR_POINT_PINS = [(1e2, "1.0", "-1.6945896696443872"),
                    (1e6, "0.4472135954999579", "-2.386296027784242"),
                    (1e12, "0.4472135954999579", "-2.386294361121557")]
@@ -333,10 +334,9 @@ class TestOptimizeGamma:
 
     def test_accepts_any_positive_finite_snr(self):
         # the Rayleigh optimum is gamma*^2 = 1/W0(snr/e) with coherent term
-        # W0 exp(-1/W0) at every snr > 0, below 1 too; lambertw is only the
-        # oracle.  The tie tolerance is relative below 1 nat, so gamma is the
-        # argmax even where the optimum is far below 1e-9 nats (2e-26 at snr
-        # 0.05); at 1e-3 the optimum underflows to 0 and only the term is checked
+        # W0 exp(-1/W0) at every snr > 0, below 1 too; optimize_gamma takes that
+        # closed form (no search, no tie rule), and lambertw is only the oracle.
+        # At 1e-3 the optimum underflows to 0 and only the term is checked
         from scipy.special import lambertw
 
         model = fading.gaussian_model(spectra.white())
@@ -348,22 +348,59 @@ class TestOptimizeGamma:
             if snr > 1e-3:
                 assert rep.gamma == pytest.approx(1.0 / math.sqrt(w), rel=1e-8)
 
-    # (snr, gamma repr, bound repr): the Rice pins were written by the
-    # per-point scalar search, the four-point pins by the atom path;
-    # tests/golden covers neither the Rice tail nor a four-point tail below
-    # its top atom.  The four-point law has the 16 atoms 1/sqrt(5) (x4), 1 (x8)
-    # and 3/sqrt(5) (x4); test_four_point_pins_are_atom_exact checks its pins.
+    # (snr, gamma repr, bound repr): the Rice pins were written by the root
+    # finder on the slope, the four-point pins by the atom path; tests/golden
+    # covers neither the Rice tail nor a four-point tail below its top atom.
+    # test_rice_optimum_is_the_stationary_point checks the Rice gammas against
+    # mpmath.  The four-point law has the 16 atoms 1/sqrt(5) (x4), 1 (x8) and
+    # 3/sqrt(5) (x4); test_four_point_pins_are_atom_exact checks its pins.
     @pytest.mark.parametrize("model, pins", [
-        (fading.gaussian_model(spectra.flat_band(0.25), d=0.7),
-         [(1e2, "0.7250558261462835", "-0.5223350194117291"),
-          (1e6, "0.38414031795439485", "2.6986969541669357"),
-          (1e12, "0.2602378883205036", "8.800461448189594")]),
+        (RICE,
+         [(1e2, "0.7250558351358135", "-0.5223350194117291"),
+          (1e6, "0.384140328821189", "2.698696954166939"),
+          (1e12, "0.2602378950480949", "8.800461448189594")]),
         (FOUR_POINT, FOUR_POINT_PINS),
     ], ids=["rice", "four-point"])
     def test_pinned_optimum(self, model, pins):
         for snr, gamma, bound in pins:
             rep = bounds.capacity_lower_bound(model, snr)
             assert (repr(rep.gamma), repr(rep.bound)) == (gamma, bound)
+
+    def test_rice_optimum_is_the_stationary_point(self):
+        # the root of 2 T - g f (ln snr - 1 + 2 ln g) by 30-digit mpmath, with the
+        # tail as a Poisson mixture of regularized upper incomplete gammas and
+        # the density 2 g exp(-g^2 - d^2) I0(2 d g); the golden-section search
+        # stopped 4e-9 to 3.5e-8 relative off it
+        mpmath = pytest.importorskip("mpmath")
+        grid = [1e2, *SHIPPED_GRID]
+        found = bounds.optimize_gamma(RICE, grid)
+        with mpmath.workdps(30):
+            d2 = mpmath.mpf(abs(RICE.mean)) ** 2
+
+            def slope(g, big_l):
+                tail = mpmath.nsum(lambda j: mpmath.exp(-d2) * d2**j / mpmath.factorial(j)
+                                   * mpmath.gammainc(j + 1, g * g, regularized=True),
+                                   [0, mpmath.inf])
+                density = (2 * g * mpmath.exp(-g * g - d2)
+                           * mpmath.besseli(0, 2 * mpmath.sqrt(d2) * g))
+                return 2 * tail - g * density * (big_l - 1 + 2 * mpmath.log(g))
+
+            for snr, gamma in zip(grid, found.tolist()):
+                root = mpmath.findroot(lambda g: slope(g, mpmath.log(snr)), mpmath.mpf(gamma))
+                assert abs(gamma - root) <= 1e-13 * root, snr
+
+    def test_inner_edge_optimum_is_the_kink_exactly(self):
+        # tail 1 up to |r1 - r2| and a falling square root past it: at high snr
+        # the edge is the maximizer.  |1 - 0.5| is a double, so Gamma is 0.5 to
+        # the bit (the golden-section search gave 0.5000000000000576 and a tail
+        # of 0.99999989 at 1e16); |1 - 0.3| is rounded down to a double
+        edges = []
+        for d in (0.5, 0.3):
+            model = fading.fir_model([1.0], fading.UNIT_MODULUS, d=d)
+            edges.append(fading.tail_kinks(model)[0])
+            for rep in bounds.capacity_lower_bound(model, SHIPPED_GRID):
+                assert (rep.gamma, rep.tail) == (edges[-1], 1.0), rep
+        assert edges[0] == 0.5
 
     def test_four_point_pins_are_atom_exact(self):
         # brute force over the 16 atoms: the pinned tail, and the coherent term
@@ -411,15 +448,14 @@ class TestOptimizeGamma:
         assert gaps[-1] < 0.012
 
     def test_grid_ends_at_1e3_below_it(self):
-        assert bounds._gamma_grid(999.0)[0] is bounds._GAMMA_GRID
+        assert bounds._gamma_grid(999.0) is bounds._GAMMA_GRID
 
     def test_grid_reaches_the_support_at_the_same_step(self):
         top = 1e4 + 1.0
-        grid, ln_grid = bounds._gamma_grid(top)
+        grid = bounds._gamma_grid(top)
         assert np.array_equal(grid[:601], bounds._GAMMA_GRID)
         assert grid[-2] < top <= grid[-1]
         assert np.allclose(np.diff(np.log10(grid)), 9.0 / 600, rtol=1e-9, atol=0)
-        assert ln_grid.tolist() == [math.log(g) for g in grid.tolist()]
 
     def test_unit_modulus_past_the_old_grid_end(self):
         # |H1| = |1e4 + W| lies in [9999, 10001]; the grid that stopped at 1e3
@@ -439,7 +475,7 @@ SHIPPED_GRID = [1e4, 1e6, 1e8, 1e10, 1e12, 1e14, 1e16]
 # search runs past 1e3
 TAIL_PATHS = {
     "rayleigh": fading.gaussian_model(spectra.white()),
-    "rice": fading.gaussian_model(spectra.flat_band(0.25), d=0.7),
+    "rice": RICE,
     "fir-complex-gaussian": fading.fir_model([1.0, 0.5j]),
     "four-point-single-tap": fading.fir_model([1.0], fading.FOUR_POINT_PHASE, d=0.3),
     "unit-modulus-step": fading.fir_model([1.0], fading.UNIT_MODULUS),
@@ -526,11 +562,11 @@ class TestGridForm:
         assert found.shape == (7,)
         assert len(calls) < 70
 
-    @pytest.mark.parametrize("path, count", [("rayleigh", 0), ("four-point", 1), ("rice", 53)])
+    @pytest.mark.parametrize("path, count", [("rayleigh", 0), ("four-point", 1), ("rice", 8)])
     def test_tail_calls_per_path(self, monkeypatch, path, count):
         # the closed form makes none, the atoms one, and the search one for the
-        # log grid, one for the first bracket, one per golden-section step and
-        # one for the refined point and Gamma = 1, for the whole snr grid
+        # log grid, one for the bracket ends and one per root-finder step (6
+        # here), each for the whole snr grid; the golden-section search made 53
         calls = []
         tail = fading.marginal_tail
 

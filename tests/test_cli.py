@@ -467,6 +467,20 @@ class TestImportSet:
         assert {command for command, _ in jobs} == set(cli._COMMANDS)
         assert loaded_optional(jobs) == [[]] * (1 + len(jobs))
 
+    def test_searched_laws_load_scipy_only_for_rice(self, tmp_path):
+        # the two-circle tail, density and kinks are numpy and fractions; the
+        # Rice tail and density read scipy.special
+        grid = [1e4, 1e6, 1e8, 1e10, 1e12, 1e14, 1e16]
+        circles = write_scenario(tmp_path, "circles.json", snr_grid=grid, model={
+            "kind": "fir", "taps": [[1.0, 0.0], [0.4, -0.7]], "innovation": "unit_modulus"})
+        rice = write_scenario(tmp_path, "rice.json", snr_grid=grid, model={
+            "kind": "gaussian", "mean": [0.7, 0.0],
+            "spectrum": {"pieces": [{"lo": -0.5, "hi": 0.5,
+                                     "density": {"kind": "constant", "value": 1.0}}]}})
+        loaded = loaded_optional([("bound", circles), ("prelog", circles), ("bound", rice)])
+        assert loaded[:3] == [[]] * 3
+        assert "scipy.special" in loaded[3]
+
 
 class TestParserReuse:
     # main parses every call with one parser built at import

@@ -37,6 +37,25 @@ def phase_integral(r1, r2, r3, gamma):
                for a, b in zip(edges, edges[1:])) / math.pi
 
 
+def mp_circle_tail(mpmath, r1, r2, gamma):
+    """P(|r1 + r2 e^{i psi}| >= gamma) by the arccos law in mpmath's precision."""
+    c = (gamma * gamma - r1 * r1 - r2 * r2) / (2 * r1 * r2)
+    return mpmath.acos(max(-1, min(1, c))) / mpmath.pi
+
+
+def mp_three_circle_tail(mpmath, r1, r2, r3, gamma):
+    """The two-circle law of radii |r1 + r2 e^{i psi}| and r3 averaged over psi
+    in [0, pi] by mpmath quadrature, split where that modulus is gamma + r3 or
+    |gamma - r3|."""
+    r1, r2, r3, gamma = map(mpmath.mpf, (r1, r2, r3, gamma))
+    cuts = [mpmath.acos(c) for c in ((x * x - r1 * r1 - r2 * r2) / (2 * r1 * r2)
+                                     for x in (gamma + r3, abs(gamma - r3))) if -1 < c < 1]
+    def integrand(psi):
+        return mp_circle_tail(mpmath, abs(r1 + r2 * mpmath.expj(psi)), r3, gamma)
+
+    return mpmath.quad(integrand, sorted({mpmath.mpf(0), mpmath.pi, *cuts})) / mpmath.pi
+
+
 def empirical_autocov(values, lag):
     n = len(values)
     return complex(np.mean(values[lag:] * np.conj(values[: n - lag])))
@@ -446,6 +465,159 @@ class TestMarginalTail:
             bad[5, 2] = -1e-9
             with pytest.raises(ValueError):
                 fading.marginal_tail(m, bad)
+
+
+class TestCircleTailToTheLastBit:
+    # the factored sides (hi - g)(hi + g) and (g - lo)(g + lo), with the rounding
+    # of r1 +- r2 carried: the cosine by cancellation was 5e-9 off at the ends
+    @pytest.mark.parametrize("ratio", [1.0, 0.5, 0.01, 1e-4])
+    def test_two_circles_against_mpmath_at_the_support_ends(self, ratio):
+        mpmath = pytest.importorskip("mpmath")
+        m = fading.fir_model([1.0, ratio], fading.UNIT_MODULUS)
+        r1, r2 = sorted(abs(t) for t in m.taps)
+        ends = np.logspace(-15.0, -1.0, 15)
+        gammas = np.concatenate([(r2 - r1) * (1 + ends), (r1 + r2) * (1 - ends),
+                                 np.linspace(r2 - r1, r1 + r2, 9)])
+        with mpmath.workdps(40):
+            want = [float(mp_circle_tail(mpmath, mpmath.mpf(r1), mpmath.mpf(r2), mpmath.mpf(g)))
+                    for g in gammas.tolist()]
+        assert np.max(np.abs(fading.marginal_tail(m, gammas) - want)) <= 2.3e-16
+
+    @pytest.mark.parametrize("taps, d, tol", [(THREE_CIRCLES, 0.0, 3e-16),
+                                              ([1.0, 1.0, 1.0], 0.0, 1e-13),
+                                              ([0.5, 0.5j], 0.4, 1e-15),
+                                              ([1e-9j, 1.0, 1.0], 0.0, 3e-12)],
+                             ids=["distinct", "equal", "two-taps-and-mean", "near-zero-radius"])
+    def test_three_circles_against_mpmath_at_the_kinks(self, taps, d, tol):
+        # at each kink and 1e-12 to either side; the cosine by cancellation put
+        # the near-zero-radius law 1.5e-9 off there.  Equal radii leave the
+        # tanh-sinh rule 4e-14 off beside the kinks
+        mpmath = pytest.importorskip("mpmath")
+        m = fading.fir_model(taps, fading.UNIT_MODULUS, d=d)
+        r1, r2, r3 = sorted(abs(c) for c in (m.mean, *m.taps) if c)
+        gammas = np.array([k * (1 + e) for k in fading.tail_kinks(m) for e in (-1e-12, 0.0, 1e-12)])
+        with mpmath.workdps(20):
+            want = [float(mp_three_circle_tail(mpmath, r1, r3, r2, g)) for g in gammas.tolist()]
+        assert np.max(np.abs(fading.marginal_tail(m, gammas) - want)) <= tol
+
+
+RICE = fading.gaussian_model(spectra.white(), d=0.7)
+TWO_CIRCLES = fading.fir_model([1.0, 0.5j], fading.UNIT_MODULUS)
+MEAN_AND_TAP = fading.fir_model([1.0], fading.UNIT_MODULUS, d=0.3)
+
+
+class TestTailKinks:
+    def test_kinks_are_the_signed_radius_sums_rounded_down(self):
+        from fractions import Fraction
+
+        # the last law has radii 0.4, 1/sqrt(2), 1/sqrt(2): 0.4 twice
+        for m, count in ((TWO_CIRCLES, 2), (MEAN_AND_TAP, 2),
+                         (fading.fir_model(THREE_CIRCLES, fading.UNIT_MODULUS), 4),
+                         (fading.fir_model([0.5, 0.5j], fading.UNIT_MODULUS, d=0.4), 3)):
+            first, *rest = [Fraction(abs(c)) for c in (m.mean, *m.taps) if c]
+            exact = sorted({abs(first + sum(s * r for s, r in zip(signs, rest)))
+                            for signs in itertools.product((1, -1), repeat=len(rest))})
+            kinks = fading.tail_kinks(m)
+            assert len(kinks) == count == len(exact)
+            for k, x in zip(kinks.tolist(), exact):
+                assert Fraction(k) <= x < Fraction(math.nextafter(k, math.inf))
+
+    def test_the_tail_is_one_at_the_inner_edge(self):
+        # a kink rounded down lies at or below the exact edge |r1 - r2|
+        rng = np.random.default_rng(29)
+        for _ in range(50):
+            taps = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            m = fading.fir_model(taps, fading.UNIT_MODULUS)
+            inner = fading.tail_kinks(m)[0]
+            assert fading.marginal_tail(m, inner) == 1.0
+            assert fading.marginal_tail(m, math.nextafter(inner, math.inf)) < 1.0
+
+    def test_gaussian_marginals_have_none_and_step_tails_raise(self):
+        assert fading.tail_kinks(RICE).size == 0
+        assert fading.tail_kinks(fading.fir_model([1.0, 0.5j], d=0.2)).size == 0
+        for m in (fading.fir_model([1.0], fading.UNIT_MODULUS),
+                  fading.fir_model([1.0, 0.5], fading.FOUR_POINT_PHASE)):
+            with pytest.raises(ValueError, match="atoms"):
+                fading.tail_kinks(m)
+        with pytest.raises(ValueError, match="with 4 circles"):
+            fading.tail_kinks(fading.fir_model(THREE_CIRCLES, fading.UNIT_MODULUS, d=0.5))
+
+
+class TestMarginalDensity:
+    def test_rice_and_rayleigh_against_besseli(self):
+        mpmath = pytest.importorskip("mpmath")
+        gammas = [0.01, 0.3, 0.7, 1.0, 2.5, 6.0, 41.0, 45.0]
+        for d in (0.0, 0.05, 0.7, 3.0, 40.0):
+            m = fading.gaussian_model(spectra.flat_band(0.25), d=d)
+            got = fading.marginal_density(m, np.array(gammas))
+            with mpmath.workdps(30):
+                want = [float(2 * g * mpmath.exp(-g * g - d * d) * mpmath.besseli(0, 2 * d * g))
+                        for g in map(mpmath.mpf, gammas)]
+            assert np.allclose(got, want, rtol=1e-13, atol=1e-300), d
+
+    def test_two_circles_against_the_arccos_derivative(self):
+        mpmath = pytest.importorskip("mpmath")
+        for m in (TWO_CIRCLES, MEAN_AND_TAP, fading.fir_model([1.0, 1.0], fading.UNIT_MODULUS)):
+            r1, r2 = sorted(abs(c) for c in (m.mean, *m.taps) if c)
+            lo, hi = r2 - r1, r1 + r2
+            gammas = [*np.linspace(lo, hi, 11)[1:-1], lo + 1e-9 * hi, hi * (1 - 1e-9)]
+            got = fading.marginal_density(m, np.array(gammas))
+            with mpmath.workdps(40):
+                # minus d/dg of acos(c) / pi, c = (g^2 - r1^2 - r2^2) / (2 r1 r2)
+                p1, p2 = mpmath.mpf(r1), mpmath.mpf(r2)
+                want = [float(g / (p1 * p2) / (mpmath.pi * mpmath.sqrt(1 - c * c)))
+                        for g in map(mpmath.mpf, gammas)
+                        for c in [(g * g - p1 * p1 - p2 * p2) / (2 * p1 * p2)]]
+            assert np.allclose(got, want, rtol=1e-13, atol=0)
+            assert fading.marginal_density(m, [0.5 * lo, lo, hi, 2 * hi]).tolist() == [0.0] * 4
+
+    def test_three_circles_against_a_central_difference(self):
+        # the tanh-sinh nodes resolve the two-circle density's inverse square
+        # roots at their ends to ~1e-8; the difference step is 1e-5
+        for taps, d in ((THREE_CIRCLES, 0.0), ([1.0, 1.0, 1.0], 0.0), ([1.0, 1.0j], 0.6)):
+            m = fading.fir_model(taps, fading.UNIT_MODULUS, d=d)
+            kinks = fading.tail_kinks(m)
+            gammas = np.linspace(0.0, kinks[-1], 41)[1:-1]
+            gammas = gammas[np.min(np.abs(gammas[:, None] / kinks - 1.0), axis=1) > 0.02]
+            h = 1e-5
+            diff = (fading.marginal_tail(m, gammas - h)
+                    - fading.marginal_tail(m, gammas + h)) / (2 * h)
+            assert np.max(np.abs(fading.marginal_density(m, gammas) - diff)) <= 1e-7
+
+    def test_its_integral_to_the_end_of_the_support_is_the_tail(self):
+        # tanh-sinh quadrature split at the kinks.  The two-circle density's
+        # inverse square roots at the support ends hold 1e-8 of mass within an
+        # ulp, so there the integral runs between points 1e-9 inside the ends;
+        # the three-circle density loses ~1e-8 of mass beside its support ends
+        mpmath = pytest.importorskip("mpmath")
+        three = fading.fir_model(THREE_CIRCLES, fading.UNIT_MODULUS)
+        laws = [(RICE, 0.0, math.inf, 1e-12), (three, 0.0, fading.tail_kinks(three)[-1], 2e-8)]
+        laws += [(m, lo * (1 + 1e-9), hi * (1 - 1e-9), 1e-12)
+                 for m in (TWO_CIRCLES, MEAN_AND_TAP) for lo, hi in [fading.tail_kinks(m)]]
+        for m, start, end, tol in laws:
+            kinks = fading.tail_kinks(m).tolist()
+            for g in np.linspace(start, min(end, 4.0), 6)[:-1].tolist():
+                integral = mpmath.quad(lambda x: fading.marginal_density(m, float(x)),
+                                       [g, *(k for k in kinks if g < k < end), end])
+                want = fading.marginal_tail(m, g) - fading.marginal_tail(m, min(end, 1e300))
+                assert float(integral) == pytest.approx(want, abs=tol)
+
+    def test_array_and_scalar_calls_and_the_unsupported_laws(self):
+        gammas = np.linspace(0.0, 1.5, 12).reshape(3, 4)
+        for m in (RICE, TWO_CIRCLES, fading.fir_model(THREE_CIRCLES, fading.UNIT_MODULUS)):
+            got = fading.marginal_density(m, gammas)
+            assert got.shape == gammas.shape
+            assert got.tolist() == [[fading.marginal_density(m, g) for g in row]
+                                    for row in gammas.tolist()]
+            with pytest.raises(ValueError, match="nonnegative"):
+                fading.marginal_density(m, -0.1)
+        for m in (fading.fir_model([1.0], fading.UNIT_MODULUS),
+                  fading.fir_model([1.0, 0.5], fading.FOUR_POINT_PHASE)):
+            with pytest.raises(ValueError, match="no density"):
+                fading.marginal_density(m, 0.5)
+        with pytest.raises(ValueError, match="with 4 circles"):
+            fading.marginal_density(
+                fading.fir_model(THREE_CIRCLES, fading.UNIT_MODULUS, d=0.5), 0.5)
 
 
 class TestZeroMassCheck:

@@ -117,6 +117,26 @@ def test_optimized_threshold_beats_every_grid_point(path, data):
         assert report.coherent >= coherent.max() - 1e-9
 
 
+@pytest.mark.parametrize("path, points", [("rice", 10**5), ("arccos", 10**5),
+                                          ("three-circles", 10**4)])
+@settings(PROPERTY, max_examples=8)
+@given(data=st.data())
+def test_searched_threshold_beats_a_dense_grid_and_the_kinks(path, points, data):
+    # the searched threshold is the maximizer to the last bits: its coherent
+    # term is at least the best of a dense log grid from 1e-6 to the support
+    # bound and of the kinks, within 1e-12 nats (10^4 points for three
+    # circles, whose tail costs 96 phase nodes a point)
+    model = data.draw(TAIL_PATHS[path], label="model")
+    grid = np.sort(data.draw(st.lists(any_snrs, min_size=1, max_size=3, unique=True),
+                             label="snrs"))
+    gammas = np.append(np.geomspace(1e-6, fading.support_bound(model), points),
+                       fading.tail_kinks(model))
+    tails = fading.marginal_tail(model, gammas)
+    for report in bounds.capacity_lower_bound(model, grid):
+        coherent = tails * (math.log(report.snr) - 1.0 + 2.0 * np.log(gammas))
+        assert report.coherent >= coherent.max() - 1e-12
+
+
 @pytest.mark.parametrize("path", ["atoms", "step"])
 @settings(PROPERTY, max_examples=40)
 @given(data=st.data())
