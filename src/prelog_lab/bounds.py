@@ -215,6 +215,7 @@ _GAMMA_GRID = np.logspace(-6.0, 3.0, 601)
 _GRID_DECADES = 9.0 / 600  # the grid's log10 step
 _ROOT_RTOL = 4.0 * np.finfo(float).eps  # a bracket this narrow, relative, is a root
 _STALL = 3  # steps that did not halve a bracket before it is bisected
+_TAIL_MARGIN = 10.0  # a searched tail is 0 past |d| + 10, or below e^-100 (Rice)
 
 
 def _lambert_w0(x):
@@ -233,12 +234,17 @@ def _lambert_w0(x):
     return w
 
 
+def _gain(lsnr, gamma):
+    """L - 1 + 2 ln Gamma, L = ln snr: the coherent term per unit of tail."""
+    return lsnr - 1.0 + 2.0 * np.log(gamma)
+
+
 def _best_atom(model, atoms, lsnr):
     """The best of the atoms of a step tail, per snr, or twice the largest atom
     (tail 0, coherent term 0) where every atom scores below 0; the smaller
     threshold on ties."""
     candidates = np.append(atoms, 2.0 * atoms[-1])
-    values = fading.marginal_tail(model, candidates) * (lsnr - 1.0 + 2.0 * np.log(candidates))
+    values = fading.marginal_tail(model, candidates) * _gain(lsnr, candidates)
     return candidates[np.argmax(values, axis=1)]
 
 
@@ -257,7 +263,7 @@ def _slope(model, g, lsnr):
     where the tail spans many orders of magnitude across a bracket; +inf
     where only the first term is positive, -inf where the tail is 0."""
     tail = fading.marginal_tail(model, g)
-    drop = g * fading.marginal_density(model, g) * (lsnr - 1.0 + 2.0 * np.log(g))
+    drop = g * fading.marginal_density(model, g) * _gain(lsnr, g)
     with np.errstate(divide="ignore", invalid="ignore"):  # ln 0, and -inf - -inf past the support
         ratio = np.log(2.0 * tail) - np.log(np.where(drop > 0.0, drop, 0.0))
     return tail, np.where(tail > 0.0, ratio, -np.inf)
@@ -302,7 +308,7 @@ def _stationary(model, lsnr, a, b):
         halved = b[k] - a[k] <= 0.5 * ref[k]
         ref[k] = np.where(halved, b[k] - a[k], ref[k])
         stalled[k] = np.where(halved, 0, stalled[k] + 1)
-    va, vb = ta * (lsnr - 1.0 + 2.0 * np.log(a)), tb * (lsnr - 1.0 + 2.0 * np.log(b))
+    va, vb = ta * _gain(lsnr, a), tb * _gain(lsnr, b)
     point = np.where(live, np.where(va >= vb, a, b), np.nan)
     return point.reshape(shape), np.maximum(va, vb).reshape(shape)
 
@@ -310,8 +316,8 @@ def _stationary(model, lsnr, a, b):
 def _search(model, lsnr):
     """Per snr, the best of the best grid point, the stationary points beside
     it and Gamma = 1 (see optimize_gamma)."""
-    grid = np.union1d(_gamma_grid(fading.support_bound(model)), fading.tail_kinks(model))
-    values = fading.marginal_tail(model, grid) * (lsnr - 1.0 + 2.0 * np.log(grid))
+    grid = np.union1d(_gamma_grid(abs(model.mean) + _TAIL_MARGIN), fading.tail_kinks(model))
+    values = fading.marginal_tail(model, grid) * _gain(lsnr, grid)
     i = np.argmax(values, axis=1)  # argmax takes the first = smallest gamma on ties
     below, above = grid[np.maximum(i - 1, 0)], grid[np.minimum(i + 1, grid.size - 1)]
     points, point_values = _stationary(model, lsnr, np.stack([below, grid[i]], axis=1),
@@ -356,7 +362,8 @@ def optimize_gamma(model, snr):
     - Every other law (Rice, two- and three-circle unit modulus) is searched.
       One tail call scores a log grid for every snr: from 1e-6 with Gamma = 1
       among its points, 601 points to 1e3, extended at the same step to
-      fading.support_bound(model) when that lies past 1e3, and the law's
+      |d| + 10 when that lies past 1e3 (circles end at |d| + sum_j |a_j|
+      <= |d| + sqrt 3, and a Rice tail there is below e^-100), and the law's
       fading.tail_kinks, where the tail is not smooth (|r1 - r2| and r1 + r2
       for two circles), so no bracket holds a kink.  The maximum lies
       between the best grid point's neighbours, where the objective is

@@ -68,7 +68,7 @@ def run_szego(scen):
 def run_mi(scen):
     """Stratified MC estimate of the coherent MI against `bound`'s coherent term."""
     if scen.mc_samples is None:
-        raise scenario.ScenarioError("mi needs mc_samples in the scenario")
+        raise scenario.ScenarioError("$['mc_samples']: mi needs a sample count")
     reports = bounds.capacity_lower_bound(scen.model, scen.snr_grid, scen.gamma)
     rows = []
     for i, (snr, report) in enumerate(zip(scen.snr_grid, reports)):
@@ -133,15 +133,16 @@ def _build_parser():
     parser = argparse.ArgumentParser(
         prog="prelog-lab",
         description="Capacity lower bounds and pre-log asymptotics for "
-                    "peak-limited non-coherent fading channels with memory.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--scenario", required=True, help="scenario JSON file")
-        p.add_argument("--out", help="write the CSV table here instead of stdout")
-        p.add_argument("--seed", type=int, help="override the scenario seed")
-        p.add_argument("--bits", action="store_true",
-                       help="report logarithmic columns in bits instead of nats")
+                    "peak-limited non-coherent fading channels with memory.",
+        epilog="commands:\n" + "\n".join(f"  {name:<16}{help_text}"
+                                          for name, (_, help_text) in _COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("command", choices=_COMMANDS, help="the table to compute")
+    parser.add_argument("--scenario", required=True, help="scenario JSON file")
+    parser.add_argument("--out", help="write the CSV table here instead of stdout")
+    parser.add_argument("--seed", type=int, help="override the scenario seed")
+    parser.add_argument("--bits", action="store_true",
+                        help="report logarithmic columns in bits instead of nats")
     return parser
 
 

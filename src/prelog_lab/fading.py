@@ -35,7 +35,6 @@ _FOUR_POINTS = np.array([1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j])
 
 _FOUR_POINT_MAX_TAPS = 9  # 4^9 = 262,144 atoms, 2 MiB a table; each tap more quadruples it
 _RICE_MAX_MEAN = 5e4  # from |d| ~ 5.25e4 chndtr returns NaN for some gamma near |d| + 18
-_GAUSSIAN_TAIL_MARGIN = 10.0  # P(|H1| >= |d| + 10) <= P(|CN(0, 1)| >= 10) = e^-100
 _EMBED_CAP = 2**20
 _EMBED_CLIP_TOL = 1e-4  # relative eigenvalue mass clipped to zero in the embedding
 # tanh-sinh rule for a mean over [0, 1]: nodes s = (1 + tanh(pi/2 sinh t)) / 2, t on 96 points
@@ -190,19 +189,34 @@ def _marginal_samples(model):
     return np.sort(np.abs(model.mean + w @ taps))
 
 
-def _four_point_support(model):
-    """_marginal_samples(model), once the tap count is known to be in range."""
-    nonzero = sum(1 for t in model.taps if t)
-    if nonzero > _FOUR_POINT_MAX_TAPS:
-        raise ValueError(
-            f"four-point phase with {nonzero} taps: exact tails "
-            f"enumerate 4^J atoms for at most {_FOUR_POINT_MAX_TAPS} taps")
-    return _marginal_samples(model)
+def _circles(model):
+    """The radii of a unit-modulus law, |c| for each nonzero term of
+    d + sum_j a_j W_j, in the order its tail takes them: sorted, but the middle
+    one last for three, so that |r1 - r2| > 0 unless all are equal; () for
+    every other law.  Four or more circles raise ValueError."""
+    if model.innovation != UNIT_MODULUS:
+        return ()
+    radii = sorted(abs(c) for c in (model.mean, *model.taps) if c)
+    if len(radii) > 3:
+        raise ValueError(f"unit modulus with {len(radii)} circles: "
+                         f"exact tails cover at most three")
+    return tuple(radii) if len(radii) < 3 else (radii[0], radii[2], radii[1])
 
 
-def _radii(model):
-    """The circles of a unit-modulus law: |c| for each nonzero term of d + sum_j a_j W_j."""
-    return sorted(abs(c) for c in (model.mean, *model.taps) if c)
+def _step_support(model):
+    """The sorted support of |H1| when its tail is a step function, else None:
+    the 4^J atoms of a four-point law (more than 9 nonzero taps raise
+    ValueError before any atom is built), or the radius of a one-circle
+    unit-modulus law."""
+    if model.innovation == FOUR_POINT_PHASE:
+        nonzero = sum(1 for t in model.taps if t)
+        if nonzero > _FOUR_POINT_MAX_TAPS:
+            raise ValueError(
+                f"four-point phase with {nonzero} taps: exact tails "
+                f"enumerate 4^J atoms for at most {_FOUR_POINT_MAX_TAPS} taps")
+        return _marginal_samples(model)
+    radii = _circles(model)
+    return np.array(radii) if len(radii) == 1 else None
 
 
 def gaussian_marginal(model):
@@ -212,26 +226,14 @@ def gaussian_marginal(model):
     return model.kind == GAUSSIAN or model.innovation == COMPLEX_GAUSSIAN
 
 
-def support_bound(model):
-    """A Gamma past which P(|H1| >= Gamma) is 0: |d| + sum_j |a_j| for unit
-    modulus and four-point phase; for Gaussian marginals, whose support is
-    unbounded, |d| + 10, past which the tail is below e^-100."""
-    if gaussian_marginal(model):
-        return abs(model.mean) + _GAUSSIAN_TAIL_MARGIN
-    return abs(model.mean) + sum(abs(t) for t in model.taps)
-
-
 def tail_atoms(model):
     """The sorted distinct positive values of |H1| when its tail is a step
     function: the atoms of a four-point law, or the radius of a one-circle
     unit-modulus law.  None for every other law.  A four-point law with more
-    than 9 nonzero taps raises ValueError before any atom is built."""
-    if model.innovation == FOUR_POINT_PHASE:
-        support = _four_point_support(model)
-        return np.unique(support[support > 0])
-    if model.innovation == UNIT_MODULUS and len(radii := _radii(model)) == 1:
-        return np.array(radii)
-    return None
+    than 9 nonzero taps raises ValueError before any atom is built, as does a
+    unit-modulus law with four or more circles."""
+    support = _step_support(model)
+    return None if support is None else np.unique(support[support > 0])
 
 
 def _two_sum(a, b):
@@ -294,26 +296,6 @@ def _three_circle_density(r1, r2, r3, g):
     return ((hi - lo) * inner)[..., 0]
 
 
-def _circles(model):
-    """The radii of a unit-modulus law with at most three circles, which have exact
-    tails; more raise ValueError."""
-    radii = _radii(model)
-    if len(radii) > 3:
-        raise ValueError(f"unit modulus with {len(radii)} circles: "
-                         f"exact tails cover at most three")
-    return radii
-
-
-def _smooth_circles(model, lacks):
-    """The radii of a two- or three-circle unit-modulus law, whose tail is
-    smooth between kinks; a step tail (four-point phase, one circle) raises
-    ValueError saying what it lacks, as do four or more circles."""
-    radii = _circles(model) if model.innovation == UNIT_MODULUS else []
-    if len(radii) < 2:
-        raise ValueError(f"a step tail has {lacks}")
-    return radii
-
-
 def _sum_down(terms):
     """|sum of terms|, exact, rounded down to a double: fsum rounds the sum to
     nearest, and fsum of the terms less that rounding has the residual's sign."""
@@ -332,7 +314,9 @@ def tail_kinks(model):
     jumps, not kinks."""
     if gaussian_marginal(model):
         return np.empty(0)
-    radii = _smooth_circles(model, "atoms (tail_atoms), not kinks")
+    radii = _circles(model)
+    if len(radii) < 2:
+        raise ValueError("a step tail has atoms (tail_atoms), not kinks")
     kinks = {_sum_down([r * sign for r, sign in zip(radii, (1.0, *signs))])
              for signs in itertools.product((1.0, -1.0), repeat=len(radii) - 1)}
     return np.array(sorted(k for k in kinks if k > 0.0))
@@ -348,7 +332,8 @@ def marginal_tail(model, gamma):
       needs |d| <= 5e4, where the tail is within 4e-16 |d| + 1e-15 of 30-digit
       quadrature at every gamma; a larger |d| raises ValueError.
     - Unit modulus has a circle per nonzero term of d + sum_j a_j W_j: a step at
-      r for one; for two, |H1| = |r1 + r2 e^{i psi}| with psi uniform and tail
+      r for one, the four-point rule below with r its one atom; for two,
+      |H1| = |r1 + r2 e^{i psi}| with psi uniform and tail
       arccos((gamma^2 - r1^2 - r2^2) / (2 r1 r2)) / pi, within 2.3e-16 of
       40-digit mpmath on all of [|r1 - r2|, r1 + r2], its ends too, and exactly
       1 at the kink tail_kinks gives for |r1 - r2|; three average that law over
@@ -375,17 +360,12 @@ def marginal_tail(model, gamma):
             # scipy.stats.rice.sf(g, sqrt(2)|d|, scale=sqrt(1/2)), by its own formula
             tail = 1.0 - scipy.special.chndtr(np.square(g / np.sqrt(0.5)), 2,
                                               np.square(np.sqrt(2.0) * abs(model.mean)))
-    elif model.innovation == UNIT_MODULUS:
-        radii = _circles(model)
-        if len(radii) == 1:
-            tail = (radii[0] >= g - 1e-12).astype(float)
-        elif len(radii) == 2:
-            tail = _circle_tail(*radii, g)
-        else:  # the middle circle outermost: |r1 - r2| > 0 unless all equal
-            tail = _three_circle_tail(radii[0], radii[2], radii[1], g)
-    else:
-        support = _four_point_support(model)
+    elif (support := _step_support(model)) is not None:
         tail = (support.size - np.searchsorted(support, g - 1e-12)) / support.size
+    elif len(radii := _circles(model)) == 2:
+        tail = _circle_tail(*radii, g)
+    else:
+        tail = _three_circle_tail(*radii, g)
     tail = np.where(g == 0, 1.0, tail)
     return float(tail) if tail.ndim == 0 else tail
 
@@ -414,10 +394,12 @@ def marginal_density(model, gamma):
 
         d = abs(model.mean)
         density = 2.0 * g * np.exp(-np.square(g - d)) * scipy.special.i0e(2.0 * d * g)
-    elif len(radii := _smooth_circles(model, "no density")) == 2:
+    elif len(radii := _circles(model)) < 2:
+        raise ValueError("a step tail has no density")
+    elif len(radii) == 2:
         density = _circle_density(*radii, g)
     else:
-        density = _three_circle_density(radii[0], radii[2], radii[1], g)
+        density = _three_circle_density(*radii, g)
     return float(density) if density.ndim == 0 else density
 
 

@@ -88,6 +88,11 @@ def _resolve(schema):
     return schema
 
 
+def _at(*path):
+    """The location of a JSON value as every rejection prints it: $['model']['taps'][0]."""
+    return "$" + "".join(f"[{p!r}]" if isinstance(p, str) else f"[{p}]" for p in path)
+
+
 def _valid(schema, value):
     return next(_faults(schema, value), None) is None
 
@@ -171,7 +176,7 @@ def _piece_from_dict(data, where):
 
 
 def _spectrum_from_dict(data):
-    pieces = tuple(_piece_from_dict(p, f"$.model.spectrum.pieces[{i}]")
+    pieces = tuple(_piece_from_dict(p, _at("model", "spectrum", "pieces", i))
                    for i, p in enumerate(data.get("pieces", [])))
     masses = tuple((float(loc), float(w)) for loc, w in data.get("point_masses", []))
     return spectra.SpectralDistribution(pieces=pieces, point_masses=masses)
@@ -203,7 +208,7 @@ def _model_from_dict(data):
     except ScenarioError:
         raise
     except ValueError as exc:
-        raise ScenarioError(f"$.model: {exc}") from None
+        raise ScenarioError(f"$['model']: {exc}") from None
 
 
 def _model_to_dict(model):
@@ -219,13 +224,13 @@ def _model_to_dict(model):
 def _grid_from(data):
     if isinstance(data, dict):
         if data["points"] > 1 and data["stop"] <= data["start"]:
-            raise ScenarioError("$.snr_grid: stop must exceed start")
+            raise ScenarioError("$['snr_grid']: stop must exceed start")
         grid = np.logspace(math.log10(data["start"]), math.log10(data["stop"]),
                            int(data["points"]))  # an integer may be written 3.0
     else:
         grid = np.asarray(data, dtype=float)
     if np.any(np.diff(grid) <= 0):
-        raise ScenarioError("$.snr_grid: must be strictly increasing")
+        raise ScenarioError("$['snr_grid']: must be strictly increasing")
     return tuple(float(s) for s in grid)
 
 
@@ -243,8 +248,7 @@ def _runner_faults(scen):
 
 def scenario_from_dict(data):
     for path, message in _faults(_schema(), data):
-        loc = "$" + "".join(f"[{p!r}]" if isinstance(p, str) else f"[{p}]" for p in path)
-        raise ScenarioError(f"{loc}: {message}")
+        raise ScenarioError(f"{_at(*path)}: {message}")
     gamma_mode = data.get("gamma_mode", "optimized")
     snr_grid = _grid_from(data["snr_grid"])
     scen = Scenario(
@@ -261,7 +265,7 @@ def scenario_from_dict(data):
         segment_length=int(data.get("segment_length", DEFAULT_SEGMENT_LENGTH)),
     )
     for field, reason in _runner_faults(scen):
-        raise ScenarioError(f"$[{field!r}]: {reason}")
+        raise ScenarioError(f"{_at(field)}: {reason}")
     return scen
 
 

@@ -364,7 +364,9 @@ class TestErrorPaths:
         ("prelog", {"snr_grid": [1e2, 1e3, 1e4]},
          "$['snr_grid']: snr grid needs at least 4 points"),
         ("prelog", {"snr_grid": [2.0, 3.0, 4.0, 5.0]}, "$['snr_grid']: snr grid must stay above e"),
-    ], ids=["mc_samples", "segment_length", "path_length", "short-grid", "grid-below-e"])
+        ("mi", {}, "$['mc_samples']: mi needs a sample count"),
+    ], ids=["mc_samples", "segment_length", "path_length", "short-grid", "grid-below-e",
+            "no-mc_samples"])
     def test_runner_domain_is_a_located_validation_error(self, tmp_path, capsys, command,
                                                           overrides, message):
         path = write_scenario(tmp_path, **overrides)
@@ -503,6 +505,23 @@ class TestParserReuse:
         assert seeded != first and again == first
 
 
+class TestCommandLine:
+    # one parser: the command is a positional, the options are declared once
+    def test_unknown_command_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["nope", "--scenario", "absent.json"])
+        assert exc.value.code == 2
+        assert "argument command: invalid choice: 'nope'" in capsys.readouterr().err
+
+    def test_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        for name, (_, help_text) in cli._COMMANDS.items():
+            assert f"  {name:<16}{help_text}" in out
+
+
 class TestModuleEntryPoint:
     def test_python_m_prints_the_same_csv(self, capsys):
         scen = str(ROOT / "scenarios" / "white_rayleigh.json")
@@ -540,7 +559,7 @@ class TestLayerImports:
         assert len(layers) == 9
         for gone in ("ChannelParams", "SamplePath", "InputBatch", "CovarianceMatrix",
                      "estimate_entropy", "partition_measures", "HarmonicPartition",
-                     "cumulative", "__all__"):
+                     "cumulative", "support_bound", "__all__"):
             for module in [prelog_lab, *layers]:
                 assert not hasattr(module, gone), (module.__name__, gone)
         assert not hasattr(prelog_lab.spectra.Piece, "level_measures")

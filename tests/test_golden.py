@@ -8,6 +8,12 @@ byte for byte but the log-det columns: a change of factorization moves their
 rounding, so they are pinned to 1e-12 nats plus one unit in the 12th
 significant digit, the last one the CSV prints.  Regenerate a file only for a
 change that is meant to alter numbers.
+
+The scenarios under tests/golden/laws/ are not shipped: each pins the `bound`
+CSV of one path of the threshold search, byte for byte, in
+tests/golden/laws/<name>.bound.csv.  They are a Rice law (|d| = 0.7), two
+circles, three circles (two taps and a mean), one circle and a three-tap
+four-point law, the last also on a low grid where every atom scores below 0.
 """
 
 import csv
@@ -25,6 +31,7 @@ GOLDEN = sorted((ROOT / "tests" / "golden").glob("*.csv"))
 BYTE_GOLDEN = [g for g in GOLDEN if not g.stem.endswith(".szego")]
 SZEGO_GOLDEN = [g for g in GOLDEN if g.stem.endswith(".szego")]
 SZEGO_NEAR = {"penalty_logdet_nats", "gap_nats"}
+LAWS = sorted((ROOT / "tests" / "golden" / "laws").glob("*.json"))
 
 
 def run_shipped(golden, capsys):
@@ -46,6 +53,14 @@ def test_every_listed_output_is_pinned():
 @pytest.mark.parametrize("golden", BYTE_GOLDEN, ids=[g.stem for g in BYTE_GOLDEN])
 def test_shipped_scenario_csv_is_byte_identical(golden, capsys):
     assert run_shipped(golden, capsys) == golden.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("law", LAWS, ids=[law.stem for law in LAWS])
+def test_threshold_path_csv_is_byte_identical(law, capsys):
+    code = cli.main(["bound", "--scenario", str(law)])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert captured.out == law.with_suffix(".bound.csv").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("golden", SZEGO_GOLDEN, ids=[g.stem for g in SZEGO_GOLDEN])

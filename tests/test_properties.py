@@ -5,8 +5,10 @@ stays deterministic; conftest.py keeps hypothesis's other files in pytest's
 cache directory, or in a temporary one when that cache is off.
 """
 
+import contextlib
 import copy
 import functools
+import io
 import itertools
 import json
 import math
@@ -24,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prelog_lab import bounds, fading, mcsim, scenario, spectra
+from prelog_lab import bounds, cli, fading, mcsim, scenario, spectra
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
                     max_examples=50)
@@ -124,12 +126,14 @@ def test_optimized_threshold_beats_every_grid_point(path, data):
 def test_searched_threshold_beats_a_dense_grid_and_the_kinks(path, points, data):
     # the searched threshold is the maximizer to the last bits: its coherent
     # term is at least the best of a dense log grid from 1e-6 to the support
-    # bound and of the kinks, within 1e-12 nats (10^4 points for three
-    # circles, whose tail costs 96 phase nodes a point)
+    # bound (|d| + sum_j |a_j| for circles, |d| + 10 for Rice) and of the
+    # kinks, within 1e-12 nats (10^4 points for three circles, whose tail
+    # costs 96 phase nodes a point)
     model = data.draw(TAIL_PATHS[path], label="model")
     grid = np.sort(data.draw(st.lists(any_snrs, min_size=1, max_size=3, unique=True),
                              label="snrs"))
-    gammas = np.append(np.geomspace(1e-6, fading.support_bound(model), points),
+    reach = 10.0 if path == "rice" else sum(abs(t) for t in model.taps)
+    gammas = np.append(np.geomspace(1e-6, abs(model.mean) + reach, points),
                        fading.tail_kinks(model))
     tails = fading.marginal_tail(model, gammas)
     for report in bounds.capacity_lower_bound(model, grid):
@@ -249,6 +253,38 @@ def test_scenario_dump_then_load_is_the_identity(data):
     again = scenario.scenario_from_dict(json.loads(dumped))
     assert again == scen
     assert json.dumps(scenario.scenario_to_dict(again)) == dumped
+
+
+def capped(data):
+    """The scenario with its costly fields cut to a test's budget: 10^4 Monte
+    Carlo samples, orders up to 256, a path of at most 16384 with at least 8
+    segments; the cuts keep it accepted."""
+    data = dict(data, n_list=[min(n, 256) for n in data.get("n_list", [256])],
+                path_length=min(data.get("path_length", scenario.DEFAULT_PATH_LENGTH), 16384))
+    if "mc_samples" in data:
+        data["mc_samples"] = mcsim.MIN_SAMPLES
+    segment = data.get("segment_length", scenario.DEFAULT_SEGMENT_LENGTH)
+    data["segment_length"] = min(segment, 2 ** int(math.log2(data["path_length"] // 8)))
+    return data
+
+
+@settings(PROPERTY, max_examples=40)
+@given(scenario_dicts())
+def test_every_accepted_scenario_runs_each_listed_output(tmp_path_factory, data):
+    # each listed output exits 0, 1 or 2 and lets no exception escape; a
+    # failure writes one line to stderr and nothing to stdout
+    data = capped(data)
+    path = tmp_path_factory.getbasetemp() / "accepted.json"
+    path.write_text(json.dumps(data))
+    for command in data["outputs"]:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([command, "--scenario", str(path)])
+        assert code in (0, 1, 2)
+        if code:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith(("error:", "numerical error:"))
+            assert out.getvalue() == ""
 
 
 def _property_names(node):

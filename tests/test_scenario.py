@@ -84,7 +84,8 @@ class TestGridExpansion:
         assert scen.snr_grid == pytest.approx((10.0, 100.0, 1000.0))
 
     def test_nonincreasing_list_rejected(self):
-        with pytest.raises(ScenarioError, match="strictly increasing"):
+        with pytest.raises(ScenarioError,
+                           match=r"^\$\['snr_grid'\]: must be strictly increasing$"):
             scenario.scenario_from_dict(minimal_dict(snr_grid=[100.0, 10.0]))
 
     def test_integral_float_points(self):
@@ -94,7 +95,7 @@ class TestGridExpansion:
         assert scen.snr_grid == pytest.approx((10.0, 100.0, 1000.0))
 
     def test_bad_range_rejected(self):
-        with pytest.raises(ScenarioError, match="stop must exceed start"):
+        with pytest.raises(ScenarioError, match=r"^\$\['snr_grid'\]: stop must exceed start$"):
             scenario.scenario_from_dict(
                 minimal_dict(snr_grid={"start": 10.0, "stop": 1.0, "points": 3}))
 
@@ -117,7 +118,7 @@ class TestValidationMessages:
     def test_semantic_mass_error_is_located(self):
         data = minimal_dict()
         data["model"]["spectrum"]["pieces"][0]["density"]["value"] = 0.5
-        with pytest.raises(ScenarioError, match=r"\$\.model: total spectral mass"):
+        with pytest.raises(ScenarioError, match=r"^\$\['model'\]: total spectral mass"):
             scenario.scenario_from_dict(data)
 
     def test_json_syntax_error_carries_line_and_column(self, tmp_path):
@@ -139,7 +140,7 @@ class TestValidationMessages:
         data["model"]["spectrum"]["pieces"][0]["density"] = {
             "kind": "trig", "coeffs": [[0.0, 0.0], [1.0, 0.0]]}
         with pytest.raises(ScenarioError,
-                           match=r"\$\.model\.spectrum\.pieces\[0\]: .*odd length"):
+                           match=r"^\$\['model'\]\['spectrum'\]\['pieces'\]\[0\]: .*odd length"):
             scenario.scenario_from_dict(data)
 
     def test_non_hermitian_trig_coefficients_rejected(self):
@@ -147,7 +148,7 @@ class TestValidationMessages:
         data["model"]["spectrum"]["pieces"][0]["density"] = {
             "kind": "trig", "coeffs": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]}
         with pytest.raises(ScenarioError,
-                           match=r"\$\.model\.spectrum\.pieces\[0\]: .*Hermitian"):
+                           match=r"^\$\['model'\]\['spectrum'\]\['pieces'\]\[0\]: .*Hermitian"):
             scenario.scenario_from_dict(data)
 
     def test_polynomial_density_rejected(self):
