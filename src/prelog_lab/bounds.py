@@ -314,29 +314,20 @@ def _stationary(model, lsnr, a, b):
 
 
 def _search(model, lsnr):
-    """Per snr, the best of the best grid point, the stationary points beside
-    it and Gamma = 1 (see optimize_gamma)."""
+    """Per snr, the best of the best grid point and the stationary points
+    beside it, the smaller Gamma on exact ties (see optimize_gamma)."""
     grid = np.union1d(_gamma_grid(abs(model.mean) + _TAIL_MARGIN), fading.tail_kinks(model))
     values = fading.marginal_tail(model, grid) * _gain(lsnr, grid)
     i = np.argmax(values, axis=1)  # argmax takes the first = smallest gamma on ties
     below, above = grid[np.maximum(i - 1, 0)], grid[np.minimum(i + 1, grid.size - 1)]
     points, point_values = _stationary(model, lsnr, np.stack([below, grid[i]], axis=1),
                                        np.stack([grid[i], above], axis=1))
-    one = np.searchsorted(grid, 1.0)  # Gamma = 1 is a grid point
-    gammas = np.empty(lsnr.size)
-    for k, j in enumerate(i.tolist()):
-        candidates = [(float(grid[j]), float(values[k, j])),
-                      *((g, v) for g, v in zip(points[k].tolist(), point_values[k].tolist())
-                        if not math.isnan(g)),
-                      (1.0, float(values[k, one]))]
-        best_g, best_v = candidates[0]
-        for g, v in candidates[1:]:
-            # near-ties count as ties and go to the smaller gamma
-            tol = 1e-9 * min(1.0, abs(best_v))
-            if v > best_v + tol or (v >= best_v - tol and g < best_g):
-                best_g, best_v = g, v
-        gammas[k] = best_g
-    return gammas
+    rows = np.arange(i.size)
+    # in increasing gamma, so argmax again takes the smaller on exact ties
+    candidates = np.stack([points[:, 0], grid[i], points[:, 1]], axis=1)
+    scores = np.stack([point_values[:, 0], values[rows, i], point_values[:, 1]], axis=1)
+    scores[np.isnan(candidates)] = -np.inf  # no stationary point in that bracket
+    return candidates[rows, np.argmax(scores, axis=1)]
 
 
 def optimize_gamma(model, snr):
@@ -374,12 +365,11 @@ def optimize_gamma(model, snr):
       that did not halve a bracket, runs on both brackets of every snr in
       lockstep, one tail and one density call a step (6 steps for Rice on
       the shipped grid), and each bracket stops within 4 ulps.  A kink that
-      wins is returned to the bit (a tail of 1 at |r1 - r2|).  The tie
-      rules are per snr: the first (smallest) grid maximizer, and among the
-      grid point, the stationary points and Gamma = 1, values within
-      1e-9 * min(1, |best|) nats of the best so far tie and go to the
-      smaller Gamma.  So the bound is never below the bound at Gamma = 1;
-      the grid brackets optima down to Gamma = 1e-6.
+      wins is returned to the bit (a tail of 1 at |r1 - r2|).  The threshold
+      is the best of the grid maximizer and the stationary points beside
+      it, the smaller Gamma on exact ties, so the bound is never below the
+      bound at Gamma = 1, a grid point; the grid brackets optima down to
+      Gamma = 1e-6.
       For Rice on the shipped grid Gamma is within 4e-16 relative of the
       30-digit stationary point.  The three-circle density is good to ~5e-8
       away from kinks, which moves Gamma by about as much and the coherent

@@ -50,13 +50,14 @@ def test_02_szego_convergence():
 
 
 def test_03_limit_decomposition():
-    """penalty_ratio converges to mu_s2 + mu_s3 (within 0.02, or 0.03 for the
-    S3 regime) with nonincreasing error over snr in {1e8, 1e10, 1e12}."""
+    """penalty_ratio converges to 1 - mu_flat (within 0.02, or 0.03 for a
+    density below 1 everywhere) with nonincreasing error over snr in
+    {1e8, 1e10, 1e12}."""
     grid = [1e8, 1e10, 1e12]
     cases = [
-        (spectra.flat_band(0.25), 0.02),   # S1 + S2 split
-        (spectra.white(), 0.02),           # pure S2
-        (spectra.mixed_spectrum([(-0.5, 0.5, 0.5)], [(0.0, 0.5)]), 0.03),  # S3
+        (spectra.flat_band(0.25), 0.02),   # half the band flat
+        (spectra.white(), 0.02),           # no flat set
+        (spectra.mixed_spectrum([(-0.5, 0.5, 0.5)], [(0.0, 0.5)]), 0.03),  # density 0.5
     ]
     for spectrum, tol in cases:
         report = asymptotics.limit_ratio_check(spectrum, grid, tol=tol)
